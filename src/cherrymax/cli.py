@@ -46,8 +46,8 @@ from .graph_core import (
 )
 
 CONFIG_ENV = "CHERRYMAX_CONFIG"
-_CONFIG_KEYS = {"jobs": int, "cap": int, "seed": int, "format": str}
-_DEFAULTS = {"jobs": 1, "cap": oracle.DEFAULT_BIT_CAP, "seed": 0}
+_CONFIG_KEYS = {"jobs": int, "cap": int, "format": str}
+_DEFAULTS = {"jobs": 1, "cap": oracle.DEFAULT_BIT_CAP}
 
 
 class UsageError(Exception):
@@ -80,7 +80,7 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve_options(args: argparse.Namespace, default_format: str) -> None:
-    """Fill jobs/cap/seed/format from config then defaults; flags win."""
+    """Fill jobs/cap/format from config then defaults; flags win."""
     path = args.config or os.environ.get(CONFIG_ENV)
     config = _load_config(path) if path else {}
     for key, default in _DEFAULTS.items():
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--jobs", type=int, default=None, help="worker processes for searches")
     common.add_argument("--cap", type=int, default=None, help="max search-space bits")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized commands")
     common.add_argument("--config", help=f"key=value config file (also {CONFIG_ENV})")
 
     parser = argparse.ArgumentParser(

@@ -4,7 +4,8 @@ Graphs are enumerated as edge bitmasks and reduced with numpy.  A bipartite
 graph on r x s cells is the mask with bit i*s + j set for edge (i, j); a
 general graph on n vertices uses one bit per vertex pair in lexicographic
 order.  Degrees are popcounts against per-vertex incidence masks, so the
-whole search space is processed in vectorized chunks.
+whole search space is processed in vectorized chunks.  Every search, point
+query or theorem sweep, runs through the one chunked kernel ``_scan``.
 
 All maximization happens in the Zagreb convention; cherry counts are
 derived afterwards via z1 = 2*cherries + 2*edges.  Reports carry the exact
@@ -16,7 +17,8 @@ predicts for those parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial, reduce
 from itertools import combinations
 from math import comb
 from multiprocessing import Pool
@@ -46,85 +48,154 @@ from .graph_core import (
 DEFAULT_BIT_CAP = 24
 _CHUNK_BITS = 20
 
-if hasattr(np, "bitwise_count"):
 
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(a)
-
-else:  # pragma: no cover - for numpy < 2.0
-    _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-
-    def _popcount(a: np.ndarray) -> np.ndarray:
-        a = a.astype(np.uint64)
-        out = _POP16[a & np.uint64(0xFFFF)]
-        for shift in (16, 32, 48):
-            out = out + _POP16[(a >> np.uint64(shift)) & np.uint64(0xFFFF)]
-        return out
+# ----------------------------------------------------------------------
+# the enumeration kernel
+#
+# A witness is a function witness(deg, masks, floor) that gives every mask
+# a small level at a floor: deg holds one row of degrees per vertex and
+# one column per mask.  A mask satisfies the pair (floor, need) when its
+# level at that floor is at least need, so pairs sharing a floor share one
+# witness evaluation.  Levels count vertices and stay below
+# len(incidence) + 1.
 
 
-def _mask_chunks(bits: int, chunk_bits: int = _CHUNK_BITS):
+def _check_bits(bits: int, cap: int) -> None:
+    if bits > cap:
+        raise SearchCapExceededError(
+            f"search space of 2^{bits} masks exceeds the cap of 2^{cap}"
+        )
+
+
+def _mask_chunks(bits: int):
     total = 1 << bits
-    step = 1 << min(bits, chunk_bits)
+    step = 1 << min(bits, _CHUNK_BITS)
     for lo in range(0, total, step):
         yield lo, min(lo + step, total)
 
 
 def _merge(acc, new):
-    """Associative best-of merge on (z1, count, min_mask) partials."""
-    if new is None:
-        return acc
-    if acc is None or new[0] > acc[0]:
-        return new
-    if new[0] == acc[0]:
-        return (acc[0], acc[1] + new[1], min(acc[2], new[2]))
-    return acc
+    """Elementwise best-of merge of (z1, count, first) tables.
+
+    Empty cells hold z1 = -1.  Sweeps carry no count or first (None).
+    The merge is associative and commutative, so tables do not depend on
+    chunking or worker count.
+    """
+    z1, count, first = acc
+    new_z1, new_count, new_first = new
+    best = np.maximum(z1, new_z1)
+    if count is None:
+        return best, None, None
+    old, fresh = z1 == best, new_z1 == best
+    count = np.where(old, count, 0) + np.where(fresh, new_count, 0)
+    first = np.where(old & fresh, np.minimum(first, new_first), np.where(old, first, new_first))
+    return best, count, first
+
+
+def _best_at_m(masks, z1, levels, pairs):
+    best = np.full(len(pairs), -1, dtype=np.int64)
+    count = np.zeros(len(pairs), dtype=np.int64)
+    first = np.zeros(len(pairs), dtype=np.uint64)
+    for p, (floor, need) in enumerate(pairs):
+        ok = levels[floor] >= need
+        if ok.any():
+            z = z1[ok]
+            best[p] = z.max()
+            at = z == best[p]
+            count[p] = at.sum()
+            # masks ascend, so the first optimum is the smallest
+            first[p] = masks[ok][at.argmax()]
+    return best, count, first
+
+
+def _best_per_edge_count(edges, z1, levels, pairs, bits, width):
+    keys = edges.astype(np.uint16) * width
+    tops = {}
+    for floor, level in levels.items():
+        top = np.full((bits + 1) * width, -1, dtype=np.int16)
+        np.maximum.at(top, keys + level, z1)
+        # top[e, l] is the best at level exactly l; a running max down
+        # from the highest level makes it the best at level >= l
+        tops[floor] = np.maximum.accumulate(top.reshape(bits + 1, width)[:, ::-1], axis=1)[:, ::-1]
+    return np.array([tops[floor][:, need] for floor, need in pairs])
+
+
+def _scan_chunk(task):
+    lo, hi, bits, incidence, witness, pairs, m = task
+    masks = np.arange(lo, hi, dtype=np.uint64)
+    edges = np.bitwise_count(masks)
+    if m is not None:
+        masks = masks[edges == m]
+    deg = np.empty((len(incidence), masks.size), dtype=np.uint8)
+    # int16 holds any Z1 of a uint64 mask: Z1 <= 2 * edges * max degree <= 2 * 64 * 64
+    z1 = np.zeros(masks.size, dtype=np.int16)
+    for row, vertex in zip(deg, incidence):
+        np.bitwise_count(masks & np.uint64(vertex), out=row)
+        z1 += np.multiply(row, row, dtype=np.int16)
+    levels = {floor: witness(deg, masks, floor) for floor in dict.fromkeys(f for f, _ in pairs)}
+    if m is not None:
+        return _best_at_m(masks, z1, levels, pairs)
+    return _best_per_edge_count(edges, z1, levels, pairs, bits, len(incidence) + 1), None, None
+
+
+def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CAP):
+    """Best Zagreb index over all 2^bits edge masks, for each witness pair.
+
+    ``incidence`` holds one mask per vertex; a vertex's degree in a graph
+    is the popcount of the graph's mask against it.  Masks are scanned in
+    chunks of 2^_CHUNK_BITS, over ``jobs`` worker processes when jobs > 1.
+    Chunks are made and merged one at a time, so memory stays flat as
+    bits grows.
+
+    Without m the result is (table, None, None): table[p, e] is the best
+    Z1 over masks with e edges that satisfy pairs[p], or -1.  With m only
+    masks with m edges are scanned, and the result is (best, count, first)
+    per pair: the best Z1 or -1, how many masks reach it, and the smallest
+    of those masks.
+    """
+    _check_bits(bits, cap)
+    tasks = ((lo, hi, bits, incidence, witness, pairs, m) for lo, hi in _mask_chunks(bits))
+    if jobs > 1 and bits > _CHUNK_BITS:
+        with Pool(jobs) as pool:
+            return reduce(_merge, pool.imap_unordered(_scan_chunk, tasks))
+    return reduce(_merge, map(_scan_chunk, tasks))
+
+
+def _unconstrained(deg, masks, floor):
+    """Witness met by every graph, with the one pair (0, 0)."""
+    return np.zeros(masks.size, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------
-# bipartite enumeration
+# bipartite graphs
 
 
-def _bipartite_degree_arrays(r: int, s: int, masks: np.ndarray):
-    rowdeg = np.empty((r, masks.size), dtype=np.uint8)
-    for i in range(r):
-        rm = np.uint64(((1 << s) - 1) << (i * s))
-        rowdeg[i] = _popcount(masks & rm)
-    coldeg = np.empty((s, masks.size), dtype=np.uint8)
-    for j in range(s):
-        cm = 0
-        for i in range(r):
-            cm |= 1 << (i * s + j)
-        coldeg[j] = _popcount(masks & np.uint64(cm))
-    return rowdeg, coldeg
+def _bipartite_incidence(r: int, s: int) -> list[int]:
+    """Cell masks of the r rows, then of the s columns."""
+    rows = [((1 << s) - 1) << (i * s) for i in range(r)]
+    cols = [sum(1 << (i * s + j) for i in range(r)) for j in range(s)]
+    return rows + cols
 
 
-def _bipartite_z1(rowdeg: np.ndarray, coldeg: np.ndarray) -> np.ndarray:
-    rd = rowdeg.astype(np.int64)
-    cd = coldeg.astype(np.int64)
-    return (rd * rd).sum(axis=0) + (cd * cd).sum(axis=0)
+def _floor_need(side: str, ell: int, k: int) -> tuple[int, int]:
+    """The bipartite witness asks for `need` vertices of degree >= `floor`
+    on its side: ell rows of degree >= k on the left, k columns of degree
+    >= ell on the right."""
+    return (k, ell) if side == "left" else (ell, k)
 
 
-def _bipartite_witness_ok(rowdeg, coldeg, ell: int, k: int, side: str) -> np.ndarray:
-    if side == "left":
-        return (rowdeg >= k).sum(axis=0) >= ell
-    return (coldeg >= ell).sum(axis=0) >= k
+def _witness_holds(row_degrees, col_degrees, side: str, ell: int, k: int) -> bool:
+    """The bipartite witness on degree lists of length r and s."""
+    floor, need = _floor_need(side, ell, k)
+    return sum(d >= floor for d in (row_degrees if side == "left" else col_degrees)) >= need
 
 
-def _phi_chunk(args):
-    r, s, ell, k, m, side, lo, hi = args
-    masks = np.arange(lo, hi, dtype=np.uint64)
-    masks = masks[_popcount(masks) == m]
-    if masks.size == 0:
-        return None
-    rowdeg, coldeg = _bipartite_degree_arrays(r, s, masks)
-    ok = _bipartite_witness_ok(rowdeg, coldeg, ell, k, side)
-    if not ok.any():
-        return None
-    masks = masks[ok]
-    z1 = _bipartite_z1(rowdeg[:, ok], coldeg[:, ok])
-    best = int(z1.max())
-    at = z1 == best
-    return best, int(at.sum()), int(masks[at].min())
+def _bipartite_level(r, side, deg, masks, floor):
+    """Kernel witness: how many vertices on the side have degree >= floor."""
+    level = np.zeros(masks.size, dtype=np.uint8)
+    for row in deg[:r] if side == "left" else deg[r:]:
+        level += row >= floor
+    return level
 
 
 def _bipartite_from_mask(r: int, s: int, mask: int) -> BipartiteGraph:
@@ -148,17 +219,6 @@ def _bounded_partitions(m: int, max_part: int, max_count: int):
     yield from rec(m, max_part, max_count)
 
 
-def _partition_witness_ok(lam: list[int], r: int, s: int, ell: int, k: int, side: str) -> bool:
-    if side == "left":
-        if k == 0:
-            return r >= ell
-        conj = [sum(1 for x in lam if x >= i) for i in range(1, (lam[0] if lam else 0) + 1)]
-        return sum(1 for x in conj if x >= k) >= ell
-    if ell == 0:
-        return s >= k
-    return sum(1 for x in lam if x >= ell) >= k
-
-
 @dataclass
 class OracleReport:
     """Exact search result plus the prediction it is compared against."""
@@ -177,20 +237,7 @@ class OracleReport:
     match: bool | None
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "params": self.params,
-            "mode": self.mode,
-            "optimum_z1": self.optimum_z1,
-            "optimum_cherries": self.optimum_cherries,
-            "optimum_count": self.optimum_count,
-            "optimum_graph": self.optimum_graph,
-            "predicted_z1": self.predicted_z1,
-            "predicted_cherries": self.predicted_cherries,
-            "predicted_branch": self.predicted_branch,
-            "prediction_feasible": self.prediction_feasible,
-            "match": self.match,
-        }
+        return asdict(self)
 
 
 def predicted_bipartite(r: int, s: int, ell: int, k: int, m: int):
@@ -218,13 +265,6 @@ def predicted_bipartite(r: int, s: int, ell: int, k: int, m: int):
     return g, f"{label}=B"
 
 
-def _check_bits(bits: int, cap: int) -> None:
-    if bits > cap:
-        raise SearchCapExceededError(
-            f"search space of 2^{bits} masks exceeds the cap of 2^{cap}"
-        )
-
-
 def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
     BipartiteFamilyParams(r, s, m, ell, k)
     family = "bipartite-left" if side == "left" else "bipartite-right"
@@ -235,10 +275,11 @@ def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
         count = 0
         best_lam = None
         for lam in _bounded_partitions(m, r, s):
-            if not _partition_witness_ok(lam, r, s, ell, k, side):
+            # lam holds the column heights; the row lengths are its conjugate
+            rows = [sum(1 for x in lam if x > i) for i in range(r)]
+            if not _witness_holds(rows, lam + [0] * (s - len(lam)), side, ell, k):
                 continue
-            conj = [sum(1 for x in lam if x >= i) for i in range(1, (lam[0] if lam else 0) + 1)]
-            z1 = sum(x * x for x in lam) + sum(y * y for y in conj)
+            z1 = sum(x * x for x in lam) + sum(y * y for y in rows)
             if best is None or z1 > best:
                 best, count, best_lam = z1, 1, lam
             elif z1 == best:
@@ -248,33 +289,19 @@ def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
         graph = BipartiteGraph(
             r, s, {(i, j) for j, h in enumerate(best_lam) for i in range(h)}
         )
-        opt = (best, count, graph)
     elif mode == "full":
-        bits = r * s
-        _check_bits(bits, cap)
-        tasks = [(r, s, ell, k, m, side, lo, hi) for lo, hi in _mask_chunks(bits)]
-        if jobs > 1 and len(tasks) > 1:
-            with Pool(jobs) as pool:
-                partials = pool.map(_phi_chunk, tasks)
-        else:
-            partials = [_phi_chunk(t) for t in tasks]
-        acc = None
-        for p in partials:
-            acc = _merge(acc, p)
-        if acc is None:
+        (best,), (count,), (first,) = _scan(
+            r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
+            [_floor_need(side, ell, k)], m=m, jobs=jobs, cap=cap,
+        )
+        if best < 0:
             raise ConstructionError("no graph satisfies the constraints")
-        opt = (acc[0], acc[1], _bipartite_from_mask(r, s, acc[2]))
+        best, count, graph = int(best), int(count), _bipartite_from_mask(r, s, int(first))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     predicted, branch = predicted_bipartite(r, s, ell, k, m)
     pred_z1 = z1_index(predicted)
-    prd, pcd = predicted.left_degrees(), predicted.right_degrees()
-    if side == "left":
-        feasible = sum(1 for d in prd if d >= k) >= ell
-    else:
-        feasible = sum(1 for d in pcd if d >= ell) >= k
-    best, count, graph = opt
     return OracleReport(
         family=family,
         params=params,
@@ -286,7 +313,9 @@ def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
         predicted_z1=pred_z1,
         predicted_cherries=(pred_z1 - 2 * m) // 2,
         predicted_branch=branch,
-        prediction_feasible=feasible,
+        prediction_feasible=_witness_holds(
+            predicted.left_degrees(), predicted.right_degrees(), side, ell, k
+        ),
         match=best == pred_z1,
     )
 
@@ -332,35 +361,23 @@ def _graph_from_mask(n: int, mask: int) -> Graph:
     return Graph(n, edges)
 
 
-def _general_chunk(args):
-    n, m, ell, k, lo, hi = args
-    masks = np.arange(lo, hi, dtype=np.uint64)
-    masks = masks[_popcount(masks) == m]
-    if masks.size == 0:
-        return None
-    vm = _vertex_masks(n)
-    deg = np.empty((n, masks.size), dtype=np.uint8)
-    for v in range(n):
-        deg[v] = _popcount(masks & np.uint64(vm[v]))
+def _general_pair(ell: int, k: int) -> tuple[int, int]:
+    """The general witness as (floor, need) for _independent_level; with
+    ell = 0 the empty set is a witness whatever k is."""
+    return (ell, k + 1) if ell else (0, 0)
+
+
+def _independent_level(n, deg, masks, ell):
+    """Kernel witness: 1 + the largest minimum degree of an independent
+    ell-set, 0 when there is none (and for ell = 0, see _general_pair)."""
+    level = np.zeros(masks.size, dtype=np.uint8)
     if ell == 0:
-        ok = np.ones(masks.size, dtype=bool)
-    else:
-        ok = np.zeros(masks.size, dtype=bool)
-        for sub in combinations(range(n), ell):
-            internal = 0
-            for a, bv in combinations(sub, 2):
-                internal |= 1 << _pair_bit(a, bv, n)
-            indep = (masks & np.uint64(internal)) == 0
-            mind = deg[list(sub)].min(axis=0)
-            ok |= indep & (mind >= k)
-    if not ok.any():
-        return None
-    masks = masks[ok]
-    d = deg[:, ok].astype(np.int64)
-    z1 = (d * d).sum(axis=0)
-    best = int(z1.max())
-    at = z1 == best
-    return best, int(at.sum()), int(masks[at].min())
+        return level
+    for sub in combinations(range(n), ell):
+        inside = sum(1 << _pair_bit(u, v, n) for u, v in combinations(sub, 2))
+        independent = (masks & np.uint64(inside)) == 0
+        np.maximum(level, np.where(independent, deg[list(sub)].min(axis=0) + 1, 0), out=level)
+    return level
 
 
 def predicted_general(n: int, m: int, ell: int, k: int):
@@ -387,20 +404,13 @@ def max_cherries_general(n, m, ell, k, *, jobs=1, cap=DEFAULT_BIT_CAP) -> Oracle
         raise ConstructionError(f"m={m} out of range for n={n}")
     if ell > n or (ell > 0 and k > n - ell):
         raise ConstructionError("witness cannot fit")
-    bits = comb(n, 2)
-    _check_bits(bits, cap)
-    tasks = [(n, m, ell, k, lo, hi) for lo, hi in _mask_chunks(bits)]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(jobs) as pool:
-            partials = pool.map(_general_chunk, tasks)
-    else:
-        partials = [_general_chunk(t) for t in tasks]
-    acc = None
-    for p in partials:
-        acc = _merge(acc, p)
-    if acc is None:
+    (best,), (count,), (first,) = _scan(
+        comb(n, 2), _vertex_masks(n), partial(_independent_level, n),
+        [_general_pair(ell, k)], m=m, jobs=jobs, cap=cap,
+    )
+    if best < 0:
         raise ConstructionError("no graph satisfies the constraints")
-    best, count, mask = acc
+    best = int(best)
     predicted, branch = predicted_general(n, m, ell, k)
     pred_z1 = None if predicted is None else z1_index(predicted)
     return OracleReport(
@@ -409,8 +419,8 @@ def max_cherries_general(n, m, ell, k, *, jobs=1, cap=DEFAULT_BIT_CAP) -> Oracle
         mode="full",
         optimum_z1=best,
         optimum_cherries=(best - 2 * m) // 2,
-        optimum_count=count,
-        optimum_graph=graph_to_json(_graph_from_mask(n, mask)),
+        optimum_count=int(count),
+        optimum_graph=graph_to_json(_graph_from_mask(n, int(first))),
         predicted_z1=pred_z1,
         predicted_cherries=None if pred_z1 is None else (pred_z1 - 2 * m) // 2,
         predicted_branch=branch,
@@ -423,53 +433,13 @@ def general_max_table(n: int, *, cap: int = DEFAULT_BIT_CAP) -> np.ndarray:
     """table[ell, k, m] = max Zagreb index over the constrained family,
     -1 where the family is empty.  Indexed ell in 0..n, k in 0..n-1."""
     bits = comb(n, 2)
-    _check_bits(bits, cap)
-    masks = np.arange(1 << bits, dtype=np.uint64)
-    popc = _popcount(masks)
-    vm = _vertex_masks(n)
-    deg = np.empty((n, masks.size), dtype=np.uint8)
-    for v in range(n):
-        deg[v] = _popcount(masks & np.uint64(vm[v]))
-    d = deg.astype(np.int32)
-    z1 = (d * d).sum(axis=0)
-    table = np.full((n + 1, n, bits + 1), -1, dtype=np.int64)
-    for ell in range(n + 1):
-        if ell == 0:
-            maxk = np.full(masks.size, n, dtype=np.int16)
-        else:
-            maxk = np.full(masks.size, -1, dtype=np.int16)
-            for sub in combinations(range(n), ell):
-                internal = 0
-                for a, bv in combinations(sub, 2):
-                    internal |= 1 << _pair_bit(a, bv, n)
-                indep = (masks & np.uint64(internal)) == 0
-                mind = deg[list(sub)].min(axis=0).astype(np.int16)
-                np.maximum(maxk, np.where(indep, mind, -1), out=maxk)
-        for k in range(n):
-            ok = maxk >= k
-            if not ok.any():
-                continue
-            best = np.full(bits + 1, -1, dtype=np.int64)
-            np.maximum.at(best, popc[ok], z1[ok].astype(np.int64))
-            table[ell, k] = best
-    return table
+    pairs = [_general_pair(ell, k) for ell in range(n + 1) for k in range(n)]
+    table, _, _ = _scan(bits, _vertex_masks(n), partial(_independent_level, n), pairs, cap=cap)
+    return table.astype(np.int64).reshape(n + 1, n, bits + 1)
 
 
 # ----------------------------------------------------------------------
 # theorem sweeps
-
-
-def _unconstrained_best_per_m(bits: int, degree_masks: list[int]) -> np.ndarray:
-    best = np.full(bits + 1, -1, dtype=np.int64)
-    for lo, hi in _mask_chunks(bits):
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        popc = _popcount(masks)
-        z1 = np.zeros(masks.size, dtype=np.int64)
-        for vm in degree_masks:
-            dv = _popcount(masks & np.uint64(vm)).astype(np.int64)
-            z1 += dv * dv
-        np.maximum.at(best, popc, z1)
-    return best
 
 
 def verify_theorem_11(n_values=(4, 5, 6, 7), *, cap: int = DEFAULT_BIT_CAP) -> list[dict]:
@@ -477,10 +447,8 @@ def verify_theorem_11(n_values=(4, 5, 6, 7), *, cap: int = DEFAULT_BIT_CAP) -> l
     the better of quasi-star and quasi-clique."""
     rows = []
     for n in n_values:
-        bits = comb(n, 2)
-        _check_bits(bits, cap)
-        best = _unconstrained_best_per_m(bits, _vertex_masks(n))
-        for m in range(bits + 1):
+        (best,), _, _ = _scan(comb(n, 2), _vertex_masks(n), _unconstrained, [(0, 0)], cap=cap)
+        for m, oracle_z1 in enumerate(best.tolist()):
             star = z1_index(quasi_star(n, m))
             clique = z1_index(quasi_clique(n, m))
             predicted = max(star, clique)
@@ -488,11 +456,11 @@ def verify_theorem_11(n_values=(4, 5, 6, 7), *, cap: int = DEFAULT_BIT_CAP) -> l
                 {
                     "n": n,
                     "m": m,
-                    "oracle_z1": int(best[m]),
+                    "oracle_z1": oracle_z1,
                     "quasi_star_z1": star,
                     "quasi_clique_z1": clique,
                     "predicted_z1": predicted,
-                    "match": int(best[m]) == predicted,
+                    "match": oracle_z1 == predicted,
                 }
             )
     return rows
@@ -505,35 +473,21 @@ def _wide_pairs(max_cells: int):
                 yield r, s
 
 
-def _bipartite_cell_masks(r: int, s: int) -> list[int]:
-    vm = []
-    for i in range(r):
-        vm.append(((1 << s) - 1) << (i * s))
-    for j in range(s):
-        cm = 0
-        for i in range(r):
-            cm |= 1 << (i * s + j)
-        vm.append(cm)
-    return vm
-
-
 def verify_theorem_16(max_cells: int = 20, *, cap: int = DEFAULT_BIT_CAP) -> list[dict]:
     """Unconstrained bipartite graphs: column filling is extremal."""
     rows = []
     for r, s in _wide_pairs(max_cells):
-        bits = r * s
-        _check_bits(bits, cap)
-        best = _unconstrained_best_per_m(bits, _bipartite_cell_masks(r, s))
-        for m in range(bits + 1):
+        (best,), _, _ = _scan(r * s, _bipartite_incidence(r, s), _unconstrained, [(0, 0)], cap=cap)
+        for m, oracle_z1 in enumerate(best.tolist()):
             predicted = z1_index(ak_bipartite(r, s, m))
             rows.append(
                 {
                     "r": r,
                     "s": s,
                     "m": m,
-                    "oracle_z1": int(best[m]),
+                    "oracle_z1": oracle_z1,
                     "predicted_z1": predicted,
-                    "match": int(best[m]) == predicted,
+                    "match": oracle_z1 == predicted,
                 }
             )
     return rows
@@ -542,40 +496,31 @@ def verify_theorem_16(max_cells: int = 20, *, cap: int = DEFAULT_BIT_CAP) -> lis
 def _verify_constrained(max_cells: int, side: str, cap: int) -> list[dict]:
     rows = []
     for r, s in _wide_pairs(max_cells):
-        bits = r * s
-        _check_bits(bits, cap)
-        masks = np.arange(1 << bits, dtype=np.uint64)
-        popc = _popcount(masks)
-        rowdeg, coldeg = _bipartite_degree_arrays(r, s, masks)
-        z1 = _bipartite_z1(rowdeg, coldeg)
-        for k in range(0, s + 1):
-            for ell in range(k, r + 1):
-                ok = _bipartite_witness_ok(rowdeg, coldeg, ell, k, side)
-                best = np.full(bits + 1, -1, dtype=np.int64)
-                np.maximum.at(best, popc[ok], z1[ok])
-                for m in range(k * ell, bits + 1):
-                    predicted, branch = predicted_bipartite(r, s, ell, k, m)
-                    pz1 = z1_index(predicted)
-                    prd = predicted.left_degrees()
-                    pcd = predicted.right_degrees()
-                    if side == "left":
-                        feasible = sum(1 for d in prd if d >= k) >= ell
-                    else:
-                        feasible = sum(1 for d in pcd if d >= ell) >= k
-                    rows.append(
-                        {
-                            "r": r,
-                            "s": s,
-                            "ell": ell,
-                            "k": k,
-                            "m": m,
-                            "branch": branch,
-                            "oracle_z1": int(best[m]),
-                            "predicted_z1": pz1,
-                            "prediction_feasible": feasible,
-                            "match": int(best[m]) == pz1,
-                        }
-                    )
+        cases = [(ell, k) for k in range(s + 1) for ell in range(k, r + 1)]
+        table, _, _ = _scan(
+            r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
+            [_floor_need(side, ell, k) for ell, k in cases], cap=cap,
+        )
+        for (ell, k), best in zip(cases, table.tolist()):
+            for m in range(k * ell, r * s + 1):
+                predicted, branch = predicted_bipartite(r, s, ell, k, m)
+                pz1 = z1_index(predicted)
+                rows.append(
+                    {
+                        "r": r,
+                        "s": s,
+                        "ell": ell,
+                        "k": k,
+                        "m": m,
+                        "branch": branch,
+                        "oracle_z1": best[m],
+                        "predicted_z1": pz1,
+                        "prediction_feasible": _witness_holds(
+                            predicted.left_degrees(), predicted.right_degrees(), side, ell, k
+                        ),
+                        "match": best[m] == pz1,
+                    }
+                )
     return rows
 
 
@@ -587,14 +532,3 @@ def verify_theorem_17(max_cells: int = 16, *, cap: int = DEFAULT_BIT_CAP) -> lis
 def verify_theorem_18(max_cells: int = 16, *, cap: int = DEFAULT_BIT_CAP) -> list[dict]:
     """Constrained bipartite graphs, witness on the right part."""
     return _verify_constrained(max_cells, "right", cap)
-
-
-def verify_ak_unconstrained(n_max: int = 7, max_cells: int = 20) -> dict:
-    """Both unconstrained sweeps bundled, with an overall verdict."""
-    general = verify_theorem_11(tuple(range(2, n_max + 1)))
-    bipartite = verify_theorem_16(max_cells)
-    return {
-        "general": general,
-        "bipartite": bipartite,
-        "all_match": all(row["match"] for row in general + bipartite),
-    }

@@ -217,12 +217,14 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("workers = 4\n")
     path = write_graph(tmp_path, "k3.json", {"n": 3, "edges": [[0, 1]]})
-    code, _, err = run_cli(capsys, "count", "--input", path, "--config", str(cfg))
-    assert code == 2
-    assert "workers" in err and ":1:" in err
+    # no command reads a seed, so seed is not a config key
+    for line, key in (("workers = 4", "workers"), ("seed = 1", "seed")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, _, err = run_cli(capsys, "count", "--input", path, "--config", str(cfg))
+        assert code == 2
+        assert key in err and ":1:" in err
 
 
 def test_invalid_construction_params(capsys):

@@ -5,11 +5,14 @@ from itertools import combinations
 
 import pytest
 
+from cherrymax import oracle
 from cherrymax.constructions import ConstructionError
 from cherrymax.graph_core import (
     BipartiteGraph,
     Graph,
     SearchCapExceededError,
+    bipartite_to_json,
+    graph_to_json,
     z1_index,
 )
 from cherrymax.oracle import (
@@ -19,7 +22,6 @@ from cherrymax.oracle import (
     phi_bipartite_right,
     predicted_bipartite,
     predicted_general,
-    verify_ak_unconstrained,
     verify_theorem_11,
     verify_theorem_16,
     verify_theorem_17,
@@ -27,41 +29,63 @@ from cherrymax.oracle import (
 )
 
 
+def _best_of(graphs):
+    """(best z1, number of graphs reaching it, the one with the smallest
+    mask) over (mask, graph) pairs, or None when there are none."""
+    scored = [(z1_index(g), mask, g) for mask, g in graphs]
+    if not scored:
+        return None
+    best = max(z for z, _, _ in scored)
+    optimal = [(mask, g) for z, mask, g in scored if z == best]
+    return best, len(optimal), min(optimal, key=lambda pair: pair[0])[1]
+
+
 def slow_phi(r: int, s: int, ell: int, k: int, m: int, side: str = "left"):
-    """Reference maximizer: plain itertools over all m-subsets of cells."""
+    """Reference maximizer: plain itertools over all m-subsets of cells.
+
+    Returns (best z1, count of optimal graphs, optimal graph of smallest
+    mask), where a cell's bit is its position in ``cells``; None if no
+    graph qualifies."""
     cells = [(i, j) for i in range(r) for j in range(s)]
-    best = None
-    for chosen in combinations(cells, m):
-        b = BipartiteGraph(r, s, chosen)
-        if side == "left":
-            ok = sum(1 for d in b.left_degrees() if d >= k) >= ell
-        else:
-            ok = sum(1 for d in b.right_degrees() if d >= ell) >= k
-        if ok:
-            z = z1_index(b)
-            if best is None or z > best:
-                best = z
-    return best
+
+    def qualifying():
+        for chosen in combinations(range(len(cells)), m):
+            b = BipartiteGraph(r, s, [cells[c] for c in chosen])
+            if side == "left":
+                ok = sum(1 for d in b.left_degrees() if d >= k) >= ell
+            else:
+                ok = sum(1 for d in b.right_degrees() if d >= ell) >= k
+            if ok:
+                yield sum(1 << c for c in chosen), b
+
+    return _best_of(qualifying())
 
 
 def slow_general_max(n: int, m: int, ell: int, k: int):
-    """Reference maximizer over all graphs with an (ell, k) witness."""
+    """Reference maximizer over all graphs with an (ell, k) witness.
+
+    Returns (best z1, count, optimal graph of smallest mask) as slow_phi
+    does, with a pair's bit its position in ``pairs``."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    best = None
-    for chosen in combinations(pairs, m):
-        g = Graph(n, chosen)
-        deg = g.degrees()
-        eligible = [v for v in range(n) if deg[v] >= k]
-        found = False
-        for cand in combinations(eligible, ell):
-            if all(not g.has_edge(u, v) for u, v in combinations(cand, 2)):
-                found = True
-                break
-        if found:
-            z = z1_index(g)
-            if best is None or z > best:
-                best = z
-    return best
+
+    def qualifying():
+        for chosen in combinations(range(len(pairs)), m):
+            g = Graph(n, [pairs[p] for p in chosen])
+            deg = g.degrees()
+            eligible = [v for v in range(n) if deg[v] >= k]
+            for cand in combinations(eligible, ell):
+                if all(not g.has_edge(u, v) for u, v in combinations(cand, 2)):
+                    yield sum(1 << p for p in chosen), g
+                    break
+
+    return _best_of(qualifying())
+
+
+def assert_report_is(got, want, to_json, case):
+    best, count, graph = want
+    assert got.optimum_z1 == best, case
+    assert got.optimum_count == count, case
+    assert got.optimum_graph == to_json(graph), case
 
 
 def test_phi_frozen_small_case():
@@ -79,7 +103,7 @@ def test_phi_matches_slow_reference():
                     got = phi_bipartite(r, s, ell, k, m)
                     want = slow_phi(r, s, ell, k, m)
                     assert want is not None
-                    assert got.optimum_z1 == want, (r, s, ell, k, m)
+                    assert_report_is(got, want, bipartite_to_json, (r, s, ell, k, m))
 
 
 def test_phi_right_matches_slow_reference():
@@ -91,7 +115,7 @@ def test_phi_right_matches_slow_reference():
                     want = slow_phi(r, s, ell, k, m, side="right")
                     # with m >= k * ell the right witness is always buildable
                     assert want is not None
-                    assert got.optimum_z1 == want, (r, s, ell, k, m)
+                    assert_report_is(got, want, bipartite_to_json, (r, s, ell, k, m))
 
 
 def test_shifted_mode_equals_full():
@@ -104,10 +128,18 @@ def test_shifted_mode_equals_full():
                     assert full.optimum_z1 == shifted.optimum_z1, (r, s, ell, k, m)
 
 
-def test_jobs_do_not_change_the_report():
-    lone = phi_bipartite(4, 4, 2, 2, 9, jobs=1)
-    multi = phi_bipartite(4, 4, 2, 2, 9, jobs=3)
-    assert lone.to_json() == multi.to_json()
+def test_jobs_do_not_change_the_report(monkeypatch):
+    # 16 and 15 bits fit in one default chunk; with 2^10-mask chunks the
+    # same query is merged from many chunks, serially and over a Pool
+    queries = (
+        lambda jobs: phi_bipartite(4, 4, 2, 2, 9, jobs=jobs),
+        lambda jobs: max_cherries_general(6, 7, 2, 2, jobs=jobs),
+    )
+    lone = [query(1).to_json() for query in queries]
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 10)
+    for query, want in zip(queries, lone):
+        assert query(1).to_json() == want
+        assert query(3).to_json() == want
 
 
 def test_predicted_branches():
@@ -146,7 +178,7 @@ def test_general_small_cases():
     report = max_cherries_general(4, 3, 0, 0)
     assert report.optimum_cherries == 3  # triangle or star
     report = max_cherries_general(5, 4, 2, 1)
-    assert report.optimum_z1 == slow_general_max(5, 4, 2, 1)
+    assert report.optimum_z1 == slow_general_max(5, 4, 2, 1)[0]
 
 
 def test_general_matches_slow_reference():
@@ -161,7 +193,7 @@ def test_general_matches_slow_reference():
                             max_cherries_general(n, m, ell, k)
                     else:
                         got = max_cherries_general(n, m, ell, k)
-                        assert got.optimum_z1 == want, (n, m, ell, k)
+                        assert_report_is(got, want, graph_to_json, (n, m, ell, k))
 
 
 def test_general_prediction_labels():
@@ -180,7 +212,7 @@ def test_general_max_table_matches_pointwise():
             for m in range(0, n * (n - 1) // 2 + 1):
                 want = slow_general_max(n, m, ell, k)
                 got = int(table[ell][k][m])
-                assert got == (-1 if want is None else want), (ell, k, m)
+                assert got == (-1 if want is None else want[0]), (ell, k, m)
 
 
 def test_verify_theorem_11_rows():
@@ -201,8 +233,3 @@ def test_verify_bipartite_theorems_small():
     assert any(row["branch"].endswith("=B") for row in rows17)
     rows18 = verify_theorem_18(9)
     assert all(row["match"] for row in rows18)
-
-
-def test_verify_ak_unconstrained_small():
-    result = verify_ak_unconstrained(n_max=5, max_cells=9)
-    assert result["all_match"]
