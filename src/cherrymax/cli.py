@@ -373,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", "-o", help="write output to this file instead of stdout")
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--jobs", type=int, default=None, help="worker processes for searches")
-    common.add_argument("--cap", type=int, default=None, help="max search-space bits")
+    common.add_argument(
+        "--cap", type=int, default=None,
+        help="log2 of the largest search space (masks, or shifted-mode table cells)",
+    )
     common.add_argument("--config", help=f"key=value config file (also {CONFIG_ENV})")
 
     parser = argparse.ArgumentParser(

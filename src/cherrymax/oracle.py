@@ -6,6 +6,9 @@ general graph on n vertices uses one bit per vertex pair in lexicographic
 order.  Degrees are popcounts against per-vertex incidence masks, so the
 whole search space is processed in vectorized chunks.  Every search, point
 query or theorem sweep, runs through the one chunked kernel ``_scan``.
+Bipartite queries in shifted mode instead maximize over Ferrers diagrams
+with an exact dynamic program over column heights, ``_shifted_optimum``,
+which reports the optimum with the lexicographically largest heights.
 
 All maximization happens in the Zagreb convention; cherry counts are
 derived afterwards via z1 = 2*cherries + 2*edges.  Reports carry the exact
@@ -61,6 +64,10 @@ _CHUNK_BITS = 20
 
 
 def _check_bits(bits: int, cap: int) -> None:
+    if bits > 64:
+        raise SearchCapExceededError(
+            f"search space of 2^{bits} masks does not fit in 64-bit masks"
+        )
     if bits > cap:
         raise SearchCapExceededError(
             f"search space of 2^{bits} masks exceeds the cap of 2^{cap}"
@@ -203,20 +210,65 @@ def _bipartite_from_mask(r: int, s: int, mask: int) -> BipartiteGraph:
     return BipartiteGraph(r, s, edges)
 
 
-def _bounded_partitions(m: int, max_part: int, max_count: int):
-    """Nonincreasing positive parts <= max_part, at most max_count of them."""
+def _shifted_optimum(r: int, s: int, ell: int, k: int, m: int, cap: int):
+    """Best Z1 over shifted r x s graphs with m edges that meet the witness.
 
-    def rec(remaining, bound, slots):
-        if remaining == 0:
-            yield []
-            return
-        if slots == 0 or bound == 0:
-            return
-        for first in range(min(bound, remaining), 0, -1):
-            for rest in rec(remaining - first, first, slots - 1):
-                yield [first] + rest
+    A shifted graph is a Ferrers diagram: column j holds rows 0..h_j-1 for
+    heights h_0 >= ... >= h_{s-1} >= 0 summing to m.  Row i then has degree
+    #{j : h_j > i}, so the row degrees' squares sum to sum_j (2j+1) h_j and
+    column j of height h adds h*h + (2j+1)*h to Z1.  Both witnesses ask for
+    k columns of height >= ell (on the left, row ell-1 of degree >= k is
+    h_{k-1} >= ell), so h_j >= ell for j < k.
 
-    yield from rec(m, max_part, max_count)
+    Bottom up over j, z[j, b, e] is the best Z1 of columns j..s-1 with
+    heights <= b summing to e, or -1, and count[b, e] is how many height
+    vectors reach it.  Returns (best, count, heights), where heights is the
+    lexicographically largest optimum.  A table of more than 2^cap cells is
+    refused.
+    """
+    tallest = min(r, m)
+    cells = (s + 1) * (tallest + 1) * (m + 1)
+    if cells > 1 << cap:
+        raise SearchCapExceededError(
+            f"shifted-mode table of {cells} cells exceeds the cap of 2^{cap}"
+        )
+
+    def gain(j, h):
+        return h * h + (2 * j + 1) * h
+
+    low = [ell] * k + [0] * (s - k)
+    z = np.full((s + 1, tallest + 1, m + 1), -1, dtype=np.int64)
+    z[s, :, 0] = 0
+    count = np.zeros((tallest + 1, m + 1), dtype=object)
+    count[:, 0] = 1
+    for j in range(s - 1, -1, -1):
+        best, ways = np.full(m + 1, -1, dtype=np.int64), np.zeros(m + 1, dtype=object)
+        below = np.zeros_like(count)
+        for b in range(low[j], tallest + 1):
+            # h_j = b on top of columns j+1.. of heights <= b
+            new = np.full(m + 1, -1, dtype=np.int64)
+            tail = z[j + 1, b, : m + 1 - b]
+            new[b:] = np.where(tail >= 0, tail + gain(j, b), -1)
+            new_ways = np.zeros(m + 1, dtype=object)
+            new_ways[b:] = count[b, : m + 1 - b]
+            top = np.maximum(best, new)
+            ways = np.where(best == top, ways, 0) + np.where(new == top, new_ways, 0)
+            z[j, b], below[b], best = top, ways, top
+        count = below
+
+    best = int(z[0, tallest, m])
+    if best < 0:
+        raise ConstructionError("no shifted graph satisfies the constraints")
+    heights, b, e, rest = [], tallest, m, best
+    for j in range(s):
+        # the largest height whose tail is still optimal
+        b = next(
+            h for h in range(min(b, e), low[j] - 1, -1)
+            if 0 <= z[j + 1, h, e - h] == rest - gain(j, h)
+        )
+        heights.append(b)
+        e, rest = e - b, rest - gain(j, b)
+    return best, count[tallest, m], heights
 
 
 @dataclass
@@ -271,24 +323,8 @@ def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
     params = {"r": r, "s": s, "ell": ell, "k": k, "m": m}
 
     if mode == "shifted":
-        best = None
-        count = 0
-        best_lam = None
-        for lam in _bounded_partitions(m, r, s):
-            # lam holds the column heights; the row lengths are its conjugate
-            rows = [sum(1 for x in lam if x > i) for i in range(r)]
-            if not _witness_holds(rows, lam + [0] * (s - len(lam)), side, ell, k):
-                continue
-            z1 = sum(x * x for x in lam) + sum(y * y for y in rows)
-            if best is None or z1 > best:
-                best, count, best_lam = z1, 1, lam
-            elif z1 == best:
-                count += 1
-        if best is None:
-            raise ConstructionError("no shifted graph satisfies the constraints")
-        graph = BipartiteGraph(
-            r, s, {(i, j) for j, h in enumerate(best_lam) for i in range(h)}
-        )
+        best, count, heights = _shifted_optimum(r, s, ell, k, m, cap)
+        graph = BipartiteGraph(r, s, {(i, j) for j, h in enumerate(heights) for i in range(h)})
     elif mode == "full":
         (best,), (count,), (first,) = _scan(
             r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),

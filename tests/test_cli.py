@@ -128,6 +128,28 @@ def test_maximize_general_rejects_shifted_mode(capsys):
     assert "shifted" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 65 cells do not fit a 64-bit mask, whatever --cap allows
+        ("--r", "13", "--s", "5", "--ell", "1", "--k", "1", "--m", "3", "--cap", "65"),
+        # a shifted-mode table of 13 x 13 x 73 cells is over 2^13
+        ("--r", "12", "--s", "12", "--ell", "4", "--k", "3", "--m", "72",
+         "--mode", "shifted", "--cap", "13"),
+    ],
+)
+def test_maximize_refuses_search_over_cap(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cherrymax.cli", "maximize", "--family", "bipartite-left", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_verify_theorem_csv(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", "--theorem", "1.1", "--max-size", "4")
     assert code == 0

@@ -1,7 +1,7 @@
 """Brute-force maximizers checked against an independent enumeration."""
 
 import json
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -40,6 +40,12 @@ def _best_of(graphs):
     return best, len(optimal), min(optimal, key=lambda pair: pair[0])[1]
 
 
+def _witness_ok(b: BipartiteGraph, side: str, ell: int, k: int) -> bool:
+    if side == "left":
+        return sum(1 for d in b.left_degrees() if d >= k) >= ell
+    return sum(1 for d in b.right_degrees() if d >= ell) >= k
+
+
 def slow_phi(r: int, s: int, ell: int, k: int, m: int, side: str = "left"):
     """Reference maximizer: plain itertools over all m-subsets of cells.
 
@@ -51,12 +57,27 @@ def slow_phi(r: int, s: int, ell: int, k: int, m: int, side: str = "left"):
     def qualifying():
         for chosen in combinations(range(len(cells)), m):
             b = BipartiteGraph(r, s, [cells[c] for c in chosen])
-            if side == "left":
-                ok = sum(1 for d in b.left_degrees() if d >= k) >= ell
-            else:
-                ok = sum(1 for d in b.right_degrees() if d >= ell) >= k
-            if ok:
+            if _witness_ok(b, side, ell, k):
                 yield sum(1 << c for c in chosen), b
+
+    return _best_of(qualifying())
+
+
+def slow_shifted(r: int, s: int, ell: int, k: int, m: int, side: str = "left"):
+    """Reference for shifted mode: every Ferrers diagram with m cells.
+
+    Returns (best z1, count of optimal diagrams, the optimal diagram with
+    the lexicographically largest column heights), or None if no diagram
+    qualifies."""
+
+    def qualifying():
+        for heights in combinations_with_replacement(range(r, -1, -1), s):
+            if sum(heights) != m:
+                continue
+            b = BipartiteGraph(r, s, [(i, j) for j, h in enumerate(heights) for i in range(h)])
+            if _witness_ok(b, side, ell, k):
+                # _best_of keeps the smallest key, so the largest heights
+                yield [-h for h in heights], b
 
     return _best_of(qualifying())
 
@@ -118,14 +139,41 @@ def test_phi_right_matches_slow_reference():
                     assert_report_is(got, want, bipartite_to_json, (r, s, ell, k, m))
 
 
+def test_shifted_matches_slow_reference():
+    cases = 0
+    for r in range(1, 6):
+        for s in range(1, r + 1):
+            for k in range(0, s + 1):
+                for ell in range(k, r + 1):
+                    # m = 0 is reached when k * ell = 0, m = r * s always
+                    for m in range(k * ell, r * s + 1):
+                        for fn, side in ((phi_bipartite, "left"), (phi_bipartite_right, "right")):
+                            got = fn(r, s, ell, k, m, mode="shifted")
+                            want = slow_shifted(r, s, ell, k, m, side)
+                            assert want is not None
+                            assert_report_is(got, want, bipartite_to_json, (side, r, s, ell, k, m))
+                            cases += 1
+    assert cases > 1000
+
+
 def test_shifted_mode_equals_full():
     for r, s in ((3, 3), (4, 3), (4, 4)):
         for k in range(0, s + 1):
             for ell in range(k, r + 1):
                 for m in range(k * ell, r * s + 1):
-                    full = phi_bipartite(r, s, ell, k, m, mode="full")
-                    shifted = phi_bipartite(r, s, ell, k, m, mode="shifted")
-                    assert full.optimum_z1 == shifted.optimum_z1, (r, s, ell, k, m)
+                    for fn in (phi_bipartite, phi_bipartite_right):
+                        full = fn(r, s, ell, k, m, mode="full")
+                        shifted = fn(r, s, ell, k, m, mode="shifted")
+                        assert full.optimum_z1 == shifted.optimum_z1, (fn, r, s, ell, k, m)
+
+
+def test_shifted_mode_past_the_bitmask_cap():
+    # 400 cells: far beyond any 64-bit mask, so only shifted mode reaches it
+    for ell, k in ((0, 0), (5, 4), (12, 7), (20, 20)):
+        for m in sorted({k * ell, 37, 150, 263, 400} - set(range(k * ell))):
+            for fn in (phi_bipartite, phi_bipartite_right):
+                report = fn(20, 20, ell, k, m, mode="shifted")
+                assert report.match, (fn, ell, k, m)
 
 
 def test_jobs_do_not_change_the_report(monkeypatch):
@@ -165,6 +213,13 @@ def test_cap_guard():
         phi_bipartite(5, 5, 2, 2, 12, cap=20)
     with pytest.raises(SearchCapExceededError):
         max_cherries_general(8, 10, 2, 2, cap=20)
+    # a shifted-mode table of 13 x 13 x 73 = 12,337 cells
+    phi_bipartite(12, 12, 4, 3, 72, mode="shifted", cap=14)
+    with pytest.raises(SearchCapExceededError):
+        phi_bipartite_right(12, 12, 4, 3, 72, mode="shifted", cap=13)
+    # 65 cells do not fit a 64-bit mask whatever the cap
+    with pytest.raises(SearchCapExceededError, match="64-bit"):
+        phi_bipartite(13, 5, 1, 1, 3, cap=65)
 
 
 def test_report_json_key_order():
