@@ -1,170 +1,27 @@
 """Exact tools for maximizing cherry counts in graphs with a fixed edge
 budget, with brute-force oracles, compression moves, extremal
 constructions, asymptotic density formulas, and grid verification of the
-supporting inequalities."""
+supporting inequalities.
 
-from .appendix import (
-    LEMMA_IDS,
-    AppendixPoint,
-    LemmaCheckReport,
-    bound_value,
-    check_all,
-    check_lemma,
-    eval_f,
-    interior_bounds_check,
-    make_point,
-)
-from .constructions import (
-    BipartiteFamilyParams,
-    ConstructionError,
-    ak_bipartite,
-    b1_family,
-    b2_family,
-    g1_family,
-    g1_witness,
-    g2_family,
-    g2_witness,
-    linear_decomposition,
-    quasi_clique,
-    quasi_star,
-    triangular_decomposition,
-)
-from .density import (
-    BoundBundle,
-    DensityPoint,
-    DomainError,
-    TheoremValue,
-    construction_density,
-    convergence,
-    fact13_bounds,
-    g1_density,
-    g2_density,
-    quasi_star_density,
-    scan,
-    thm_value,
-)
-from .graph_core import (
-    MAX_VERTICES,
-    BipartiteGraph,
-    ConstraintWitness,
-    Graph,
-    SearchCapExceededError,
-    UndefinedDensityError,
-    bipartite_from_json,
-    bipartite_to_json,
-    count_cherries,
-    densities,
-    find_constraint_witness,
-    from_json_obj,
-    graph_from_json,
-    graph_to_json,
-    min_degree_over_set,
-    z1_index,
-)
-from .oracle import (
-    DEFAULT_BIT_CAP,
-    OracleReport,
-    general_max_table,
-    max_cherries_general,
-    phi_bipartite,
-    phi_bipartite_right,
-    predicted_bipartite,
-    predicted_general,
-    verify_theorem_11,
-    verify_theorem_16,
-    verify_theorem_17,
-    verify_theorem_18,
-)
-from .shifting import (
-    ShiftAnalysis,
-    SwapMove,
-    analyze_omega,
-    apply_swap,
-    is_shifted,
-    is_shifted_general,
-    left_compress,
-    left_compress_with_log,
-    shift_general,
-    shift_general_with_log,
-    swap_delta,
-    swap_sides,
-)
+The package exports the names of the README's library sketch; everything
+else is imported from its submodule."""
+
+from .constructions import g2_family, quasi_star
+from .graph_core import BipartiteGraph, ConstraintWitness, Graph, count_cherries, z1_index
+from .oracle import max_cherries_general, phi_bipartite
+from .shifting import left_compress_with_log
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AppendixPoint",
-    "BipartiteFamilyParams",
     "BipartiteGraph",
-    "BoundBundle",
     "ConstraintWitness",
-    "ConstructionError",
-    "DEFAULT_BIT_CAP",
-    "DensityPoint",
-    "DomainError",
     "Graph",
-    "LEMMA_IDS",
-    "LemmaCheckReport",
-    "MAX_VERTICES",
-    "OracleReport",
-    "SearchCapExceededError",
-    "ShiftAnalysis",
-    "SwapMove",
-    "TheoremValue",
-    "UndefinedDensityError",
-    "ak_bipartite",
-    "analyze_omega",
-    "apply_swap",
-    "b1_family",
-    "b2_family",
-    "bipartite_from_json",
-    "bipartite_to_json",
-    "bound_value",
-    "check_all",
-    "check_lemma",
-    "construction_density",
-    "convergence",
     "count_cherries",
-    "densities",
-    "eval_f",
-    "fact13_bounds",
-    "find_constraint_witness",
-    "from_json_obj",
-    "g1_density",
-    "g1_family",
-    "g1_witness",
-    "g2_density",
     "g2_family",
-    "g2_witness",
-    "general_max_table",
-    "graph_from_json",
-    "graph_to_json",
-    "interior_bounds_check",
-    "is_shifted",
-    "is_shifted_general",
-    "left_compress",
     "left_compress_with_log",
-    "linear_decomposition",
-    "make_point",
     "max_cherries_general",
-    "min_degree_over_set",
     "phi_bipartite",
-    "phi_bipartite_right",
-    "predicted_bipartite",
-    "predicted_general",
-    "quasi_clique",
     "quasi_star",
-    "quasi_star_density",
-    "scan",
-    "shift_general",
-    "shift_general_with_log",
-    "swap_delta",
-    "swap_sides",
-    "thm_value",
-    "triangular_decomposition",
-    "verify_theorem_11",
-    "verify_theorem_16",
-    "verify_theorem_17",
-    "verify_theorem_18",
     "z1_index",
 ]

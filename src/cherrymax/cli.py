@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from . import appendix, density, oracle, shifting
+from . import density, oracle, shifting
 from .constructions import (
     BipartiteFamilyParams,
     ConstructionError,
@@ -274,15 +274,21 @@ def _cmd_maximize(args) -> int:
 
 
 def _cmd_verify_theorem(args) -> int:
-    size = args.max_size
+    default, smallest = {"1.1": (7, 2), "1.6": (20, 1)}.get(args.theorem, (16, 1))
+    size = default if args.max_size is None else args.max_size
+    if size < smallest:
+        # a smaller size yields no rows, and an empty sweep must not pass
+        raise UsageError(
+            f"--max-size must be at least {smallest} for theorem {args.theorem}, got {size}"
+        )
     if args.theorem == "1.1":
-        rows = oracle.verify_theorem_11(tuple(range(2, (size or 7) + 1)), cap=args.cap)
+        rows = oracle.verify_theorem_11(tuple(range(2, size + 1)), cap=args.cap)
     elif args.theorem == "1.6":
-        rows = oracle.verify_theorem_16(size or 20, cap=args.cap)
+        rows = oracle.verify_theorem_16(size, cap=args.cap)
     elif args.theorem == "1.7":
-        rows = oracle.verify_theorem_17(size or 16, cap=args.cap)
+        rows = oracle.verify_theorem_17(size, cap=args.cap)
     else:
-        rows = oracle.verify_theorem_18(size or 16, cap=args.cap)
+        rows = oracle.verify_theorem_18(size, cap=args.cap)
     _emit(args, rows)
     return 0 if all(row["match"] for row in rows) else 1
 
@@ -342,6 +348,9 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
+    # imported here so that the other commands neither parse nor hold it
+    from . import appendix
+
     if args.lemma == "interior":
         rows = appendix.interior_bounds_check()
         _emit(args, {"rows": rows, "passed": all(r["ok"] for r in rows)})
@@ -422,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-size",
         type=int,
-        help="largest n (theorem 1.1) or largest r*s (bipartite theorems)",
+        help="largest n (theorem 1.1, at least 2) or largest r*s (bipartite theorems, at least 1)",
     )
     p.set_defaults(handler=_cmd_verify_theorem, default_format="csv")
 

@@ -18,10 +18,17 @@ arithmetic, never floating-point roots.  Index collisions (blocks that
 would overlap for extreme parameters) are hard errors with a diagnostic,
 because the asymptotic regime the formulas target never hits them but
 small-n tests can.
+
+The general families (quasi-clique/quasi-star, G1, G2) are each defined
+once, as a layout of cliques and complete joins on vertex ranges.  The
+generator builds its graph from the layout, and quasi_star_classes,
+g1_classes and g2_classes return the degree multiset of the same layout in
+time independent of n, which is what ``density`` sums at n up to 10**6.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, isqrt
 
@@ -60,21 +67,68 @@ def linear_decomposition(m: int, r: int) -> tuple[int, int]:
     return divmod(m, r)
 
 
-def quasi_clique(n: int, m: int) -> Graph:
-    """Clique on the first a vertices plus b edges from vertex a (0-based)."""
+# ----------------------------------------------------------------------
+# general families as block layouts
+#
+# A layout is a list of blocks (A, B) of vertex ranges: a clique on A when
+# A == B, otherwise a complete join in which every vertex of A precedes
+# every vertex of B.  Each family's decomposition and domain checks live in
+# its layout function only.
+
+
+def _graph(n: int, m: int, blocks) -> Graph:
+    g = Graph(n, {(u, v) for A, B in blocks for u in A for v in B if u < v})
+    assert g.num_edges == m
+    return g
+
+
+def _degree_classes(n: int, blocks) -> Counter:
+    """Degree multiset of the blocks' graph on n vertices, without edges.
+
+    Degrees are constant between consecutive range ends.  Edgeless blocks
+    are dropped first, since they may name a vertex past n (the remainder
+    vertex when there are no remainder edges).
+    """
+    blocks = [(A, B) for A, B in blocks if B and len(A) > (A == B)]
+    cuts = sorted({0, n}.union(*((A.start, A.stop, B.start, B.stop) for A, B in blocks)))
+    classes = Counter()
+    for lo, hi in zip(cuts, cuts[1:]):
+        degree = sum(len(B) - (A == B) if lo in A else len(A) if lo in B else 0 for A, B in blocks)
+        classes[degree] += hi - lo
+    return classes
+
+
+def _check_edge_count(n: int, m: int) -> None:
     if not 0 <= m <= comb(n, 2):
         raise ConstructionError(f"m={m} out of range for n={n}")
+
+
+def _quasi_clique_layout(n: int, m: int) -> list:
+    _check_edge_count(n, m)
     a, b = triangular_decomposition(m)
-    edges = {(u, v) for u in range(a) for v in range(u + 1, a)}
-    edges.update((i, a) for i in range(b))
-    return Graph(n, edges)
+    return [(range(a), range(a)), (range(b), range(a, a + 1))]
+
+
+def _quasi_star_layout(n: int, m: int) -> list:
+    """Layout of the quasi-clique whose complement is the quasi-star."""
+    _check_edge_count(n, m)
+    return _quasi_clique_layout(n, comb(n, 2) - m)
+
+
+def quasi_clique(n: int, m: int) -> Graph:
+    """Clique on the first a vertices plus b edges from vertex a (0-based)."""
+    return _graph(n, m, _quasi_clique_layout(n, m))
 
 
 def quasi_star(n: int, m: int) -> Graph:
     """Complement of the quasi-clique with the complementary edge count."""
-    if not 0 <= m <= comb(n, 2):
-        raise ConstructionError(f"m={m} out of range for n={n}")
-    return quasi_clique(n, comb(n, 2) - m).complement()
+    return _graph(n, comb(n, 2) - m, _quasi_star_layout(n, m)).complement()
+
+
+def quasi_star_classes(n: int, m: int) -> Counter:
+    """Degree multiset of quasi_star(n, m), computed without its edges."""
+    classes = _degree_classes(n, _quasi_star_layout(n, m))
+    return Counter({n - 1 - degree: count for degree, count in classes.items()})
 
 
 def ak_bipartite(r: int, s: int, m: int, *, require_wide: bool = True) -> BipartiteGraph:
@@ -180,14 +234,7 @@ def _check_nonneg(n: int, m: int, ell: int, k: int) -> None:
         raise ConstructionError(f"need ell <= n, got {ell} > {n}")
 
 
-def g1_family(n: int, m: int, ell: int, k: int) -> Graph:
-    """Clique plus k x ell block: m = k*ell + C(a, 2) + b.
-
-    0-based layout: clique on 0..a-1, block rows 0..k-1 against the last
-    ell vertices, b extra edges from vertex a.  The last ell vertices form
-    the independent degree-k witness, so the clique, the block rows and
-    vertex a must all stay below n - ell.
-    """
+def _g1_layout(n: int, m: int, ell: int, k: int) -> list:
     _check_nonneg(n, m, ell, k)
     if k > n - ell:
         raise ConstructionError(f"block rows collide with the witness: k={k} > n-ell={n - ell}")
@@ -199,12 +246,54 @@ def g1_family(n: int, m: int, ell: int, k: int) -> Graph:
         raise ConstructionError(
             f"clique collides with the witness: needs {top} vertices, only {n - ell} free"
         )
-    edges = {(u, v) for u in range(a) for v in range(u + 1, a)}
-    edges.update((i, n - ell + j) for i in range(k) for j in range(ell))
-    edges.update((i, a) for i in range(b))
-    g = Graph(n, edges)
-    assert g.num_edges == m
-    return g
+    return [(range(a), range(a)), (range(k), range(n - ell, n)), (range(b), range(a, a + 1))]
+
+
+def g1_family(n: int, m: int, ell: int, k: int) -> Graph:
+    """Clique plus k x ell block: m = k*ell + C(a, 2) + b.
+
+    0-based layout: clique on 0..a-1, block rows 0..k-1 against the last
+    ell vertices, b extra edges from vertex a.  The last ell vertices form
+    the independent degree-k witness, so the clique, the block rows and
+    vertex a must all stay below n - ell.
+    """
+    return _graph(n, m, _g1_layout(n, m, ell, k))
+
+
+def g1_classes(n: int, m: int, ell: int, k: int) -> Counter:
+    """Degree multiset of g1_family(n, m, ell, k), computed without its edges."""
+    return _degree_classes(n, _g1_layout(n, m, ell, k))
+
+
+def _g2_decomposition(m: int, ell: int) -> tuple[int, int]:
+    """(a, b) with m = a*ell + C(a, 2) + b and a as large as possible.
+
+    a*ell + C(a, 2) = C(a + ell, 2) - C(ell, 2), so a + ell and b come from
+    the triangular decomposition of m + C(ell, 2), and 0 <= b <= a + ell - 1.
+    """
+    top, b = triangular_decomposition(m + comb(ell, 2))
+    return top - ell, b
+
+
+def _g2_layout(n: int, m: int, ell: int, k: int) -> tuple[int, int, list]:
+    """(a, b, blocks) of the clique joined to the witness a..a+ell-1.
+
+    The b remainder edges run from vertex a+ell to vertices 0..b-1.  When
+    b > a they spill onto witness vertices from outside, which keeps the
+    witness independent with degree floor a.
+    """
+    _check_nonneg(n, m, ell, k)
+    a, b = _g2_decomposition(m, ell)
+    if a < k:
+        raise ConstructionError(f"witness degree a={a} below the floor k={k}")
+    top = a + ell + 1 if b > 0 else a + ell
+    if top > n:
+        raise ConstructionError(f"needs {top} vertices, have n={n}")
+    return a, b, [
+        (range(a), range(a)),
+        (range(a), range(a, a + ell)),
+        (range(b), range(a + ell, a + ell + 1)),
+    ]
 
 
 def g2_family(n: int, m: int, ell: int, k: int) -> Graph:
@@ -212,28 +301,19 @@ def g2_family(n: int, m: int, ell: int, k: int) -> Graph:
 
     0-based layout: clique on 0..a-1, complete join to the witness
     a..a+ell-1, b extra edges from vertex a+ell.  The witness degree is a,
-    so a >= k is required; b > a would force edges into the witness and is
-    rejected.
+    so a >= k is required.
     """
-    _check_nonneg(n, m, ell, k)
-    a = 0
-    while (a + 1) * ell + comb(a + 1, 2) <= m:
-        a += 1
-    b = m - a * ell - comb(a, 2)
-    assert 0 <= b <= a + ell - 1 or (a == 0 and b == m)
-    if a < k:
-        raise ConstructionError(f"witness degree a={a} below the floor k={k}")
+    a, b, blocks = _g2_layout(n, m, ell, k)
+    # Unlike g2_classes, the generator refuses the remainder spill.  Which
+    # of the two is the paper's G2 is open (ROADMAP item 5).
     if b > a:
         raise ConstructionError(f"b={b} > a={a} would attach edges inside the witness")
-    top = a + ell + 1 if b > 0 else a + ell
-    if top > n:
-        raise ConstructionError(f"needs {top} vertices, have n={n}")
-    edges = {(u, v) for u in range(a) for v in range(u + 1, a)}
-    edges.update((u, a + j) for u in range(a) for j in range(ell))
-    edges.update((i, a + ell) for i in range(b))
-    g = Graph(n, edges)
-    assert g.num_edges == m
-    return g
+    return _graph(n, m, blocks)
+
+
+def g2_classes(n: int, m: int, ell: int, k: int) -> Counter:
+    """Degree multiset of the G2 layout, remainder spill (b > a) included."""
+    return _degree_classes(n, _g2_layout(n, m, ell, k)[2])
 
 
 def g1_witness(n: int, ell: int, k: int) -> ConstraintWitness:
@@ -241,7 +321,5 @@ def g1_witness(n: int, ell: int, k: int) -> ConstraintWitness:
 
 
 def g2_witness(n: int, m: int, ell: int, k: int) -> ConstraintWitness:
-    a = 0
-    while (a + 1) * ell + comb(a + 1, 2) <= m:
-        a += 1
+    a, _ = _g2_decomposition(m, ell)
     return ConstraintWitness(tuple(range(a, a + ell)), ell, k)

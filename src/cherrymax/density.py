@@ -11,17 +11,19 @@ infeasible points carry value None and are excluded from the max.
 
 Finite-n densities are computed exactly from degree classes (each family
 has at most five distinct degrees), so convergence experiments run at any
-n without materializing edge sets.
+n without materializing edge sets.  The classes come from
+``constructions``, which reads them off the same layout its generators
+build graphs from; this module only sums them.  The g2 classes keep the
+remainder spill that ``g2_family`` refuses (see ROADMAP item 5).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, sqrt
 
-from .constructions import ConstructionError, triangular_decomposition
+from .constructions import ConstructionError, g1_classes, g2_classes, quasi_star_classes
 
 _SLACK = 1e-12
 _TIE_BAND = 1e-9
@@ -161,93 +163,7 @@ def _round_half_up(x: float) -> int:
     return floor(x + 0.5)
 
 
-def _add_class(classes: Counter, deg: int, count: int) -> None:
-    if count > 0:
-        assert deg >= 0
-        classes[deg] += count
-
-
-def _quasi_star_classes(n: int, m: int) -> Counter:
-    """Degree multiset of the complement of quasi_clique(n, C(n,2)-m)."""
-    if not 0 <= m <= comb(n, 2):
-        raise ConstructionError(f"m={m} out of range for n={n}")
-    if m == 0:
-        return Counter({0: n})
-    a, b = triangular_decomposition(comb(n, 2) - m)
-    classes = Counter()
-    _add_class(classes, n - 1 - a, b)
-    _add_class(classes, n - a, a - b)
-    _add_class(classes, n - 1 - b, 1)
-    _add_class(classes, n - 1, n - a - 1)
-    return classes
-
-
-def _g1_classes(n: int, m: int, ell: int, k: int) -> Counter:
-    """Degree multiset of g1_family(n, m, ell, k), validated identically."""
-    if min(n, m, ell, k) < 0:
-        raise ConstructionError("parameters must be nonnegative")
-    if k > n - ell:
-        raise ConstructionError(f"block rows collide with the witness: k={k} > n-ell={n - ell}")
-    if m < k * ell:
-        raise ConstructionError(f"need m >= k*ell, got m={m} < {k * ell}")
-    a, b = triangular_decomposition(m - k * ell)
-    top = a + 1 if b > 0 else a
-    if top > n - ell:
-        raise ConstructionError(
-            f"clique collides with the witness: needs {top} vertices, only {n - ell} free"
-        )
-    classes = Counter()
-    _add_class(classes, k, ell)
-    # clique vertices u < a: a-1, plus ell if u < k, plus 1 if u < b
-    cuts = sorted({0, min(b, a), min(k, a), a})
-    for lo, hi in zip(cuts, cuts[1:]):
-        if hi > lo:
-            _add_class(classes, (a - 1) + (ell if lo < k else 0) + (1 if lo < b else 0), hi - lo)
-    if a < n - ell:
-        # the remainder vertex slot exists outside the witness
-        _add_class(classes, b + (ell if a < k else 0), 1)
-        lo, hi = a + 1, n - ell
-        mid = min(max(k, lo), hi)
-        _add_class(classes, ell, mid - lo)
-        _add_class(classes, 0, hi - mid)
-    return classes
-
-
-def _g2_classes(n: int, m: int, ell: int, k: int) -> Counter:
-    """Degree multiset of the clique-join construction, allowing the
-    remainder vertex to spill into the witness (b up to a + ell - 1).
-
-    Spill edges land on witness vertices from outside, which raises their
-    degree but keeps the witness independent with floor a >= k.
-    """
-    if min(n, m, ell, k) < 0:
-        raise ConstructionError("parameters must be nonnegative")
-    a = 0
-    while (a + 1) * ell + comb(a + 1, 2) <= m:
-        a += 1
-    b = m - a * ell - comb(a, 2)
-    assert 0 <= b <= a + ell - 1 or (a == 0 and b == m)
-    if a < k:
-        raise ConstructionError(f"witness degree a={a} below the floor k={k}")
-    if b > a + ell - 1:
-        raise ConstructionError(f"b={b} exceeds a+ell-1={a + ell - 1}")
-    top = a + ell + 1 if b > 0 else a + ell
-    if top > n:
-        raise ConstructionError(f"needs {top} vertices, have n={n}")
-    classes = Counter()
-    hit_clique = min(b, a)
-    _add_class(classes, a + ell, hit_clique)
-    _add_class(classes, a - 1 + ell, a - hit_clique)
-    hit_witness = max(b - a, 0)
-    _add_class(classes, a + 1, hit_witness)
-    _add_class(classes, a, ell - hit_witness)
-    if b > 0:
-        _add_class(classes, b, 1)
-    _add_class(classes, 0, n - top)
-    return classes
-
-
-def _classes_to_densities(n: int, classes: Counter, m: int) -> tuple[Fraction, Fraction]:
+def _classes_to_densities(n: int, classes: dict, m: int) -> tuple[Fraction, Fraction]:
     if n < 3:
         raise DomainError("densities need n >= 3")
     assert sum(classes.values()) == n
@@ -269,16 +185,16 @@ def construction_density(
     """
     m = _round_half_up(p.rho * comb(n, 2))
     if family == "quasi_star":
-        classes = _quasi_star_classes(n, m)
+        classes = quasi_star_classes(n, m)
     elif family == "g1":
         ell, k = _round_half_up(p.alpha * n), _round_half_up(p.beta * n)
         try:
-            classes = _g1_classes(n, m, ell, k)
+            classes = g1_classes(n, m, ell, k)
         except ConstructionError:
-            classes = _g1_classes(n, m, k, ell)
+            classes = g1_classes(n, m, k, ell)
     elif family == "g2":
         ell, k = _round_half_up(p.alpha * n), _round_half_up(p.beta * n)
-        classes = _g2_classes(n, m, ell, k)
+        classes = g2_classes(n, m, ell, k)
     else:
         raise ValueError(f"unknown family {family!r}")
     return _classes_to_densities(n, classes, m)

@@ -74,14 +74,6 @@ class Graph:
             )
         object.__setattr__(self, "edges", _normalize_edges(self.n, self.edges))
 
-    @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, frozenset())
-
-    @classmethod
-    def complete(cls, n: int) -> "Graph":
-        return cls(n, {(u, v) for u in range(n) for v in range(u + 1, n)})
-
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -161,10 +153,6 @@ class BipartiteGraph:
     @property
     def delta_right(self) -> int:
         return max(self.right_degrees(), default=0)
-
-    def as_graph(self) -> Graph:
-        """Same graph on r + s vertices, right part shifted by r."""
-        return Graph(self.r + self.s, {(i, self.r + j) for i, j in self.edges})
 
 
 @dataclass(frozen=True)

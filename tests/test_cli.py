@@ -158,6 +158,23 @@ def test_verify_theorem_csv(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "theorem, size",
+    [("1.1", "1"), ("1.1", "0"), ("1.6", "-3"), ("1.6", "0"), ("1.7", "0"), ("1.8", "0")],
+)
+def test_verify_theorem_refuses_sizes_that_check_nothing(capsys, theorem, size):
+    code, out, err = run_cli(capsys, "verify-theorem", "--theorem", theorem, "--max-size", size)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --max-size must be at least")
+
+
+@pytest.mark.parametrize("theorem, size", [("1.1", "2"), ("1.6", "1"), ("1.7", "1"), ("1.8", "1")])
+def test_verify_theorem_smallest_size_checks_rows(capsys, theorem, size):
+    code, out, _ = run_cli(capsys, "verify-theorem", "--theorem", theorem, "--max-size", size)
+    assert code == 0
+    assert len(out.strip().splitlines()) > 1
+
+
 def test_verify_theorem_mismatch_exits_one(monkeypatch, capsys):
     rows = [{"n": 4, "m": 2, "oracle_z1": 4, "predicted_z1": 6, "match": False}]
     monkeypatch.setattr(cli.oracle, "verify_theorem_11", lambda sizes, cap=None: rows)

@@ -1,6 +1,7 @@
 """Extremal construction generators and their decomposition identities."""
 
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -11,13 +12,16 @@ from cherrymax.constructions import (
     ak_bipartite,
     b1_family,
     b2_family,
+    g1_classes,
     g1_family,
     g1_witness,
+    g2_classes,
     g2_family,
     g2_witness,
     linear_decomposition,
     quasi_clique,
     quasi_star,
+    quasi_star_classes,
     triangular_decomposition,
 )
 from cherrymax.graph_core import (
@@ -237,6 +241,55 @@ def test_g_families_properties():
             w.check_in(g)
             assert min_degree_over_set(g, w.vertices) >= k
             assert z1_index(g) == 2 * count_cherries(g) + 2 * m
+
+
+def _degrees_or_refusal(build, *args):
+    """Degree multiset of build(*args), a graph or a Counter, or the
+    message it is refused with."""
+    try:
+        value = build(*args)
+    except ConstructionError as exc:
+        return str(exc)
+    return value if isinstance(value, Counter) else Counter(value.degrees())
+
+
+def _g2_spill_degrees(n, m, ell):
+    """Degrees of the G2 layout built by hand, with a found by a plain loop,
+    remainder edges from vertex a+ell reaching into the witness."""
+    a = 0
+    while (a + 1) * ell + comb(a + 1, 2) <= m:
+        a += 1
+    b = m - a * ell - comb(a, 2)
+    edges = [(u, v) for u in range(a) for v in range(u + 1, a + ell)]
+    edges += [(v, a + ell) for v in range(b)]
+    return Counter(Graph(n, edges).degrees())
+
+
+def test_degree_classes_match_built_graphs():
+    """Every n <= 9, m, ell and k: the degree classes equal the built
+    graph's degrees and both sides refuse with the same message, except
+    that g2_family alone refuses the remainder spill b > a."""
+    spill = built_g2 = 0
+    for n in range(10):
+        for m in range(comb(n, 2) + 1):
+            qs = _degrees_or_refusal(quasi_star, n, m)
+            assert isinstance(qs, Counter)
+            assert _degrees_or_refusal(quasi_star_classes, n, m) == qs, (n, m)
+            for ell in range(n + 1):
+                for k in range(n + 1):
+                    case = (n, m, ell, k)
+                    g1 = _degrees_or_refusal(g1_family, *case)
+                    assert _degrees_or_refusal(g1_classes, *case) == g1, case
+                    g2 = _degrees_or_refusal(g2_family, *case)
+                    classes = _degrees_or_refusal(g2_classes, *case)
+                    if isinstance(g2, str) and isinstance(classes, Counter):
+                        assert g2.startswith("b=") and "would attach edges" in g2, case
+                        assert classes == _g2_spill_degrees(n, m, ell), case
+                        spill += 1
+                    else:
+                        assert classes == g2, case
+                        built_g2 += isinstance(g2, Counter)
+    assert (built_g2, spill) == (2133, 462)
 
 
 def test_quasi_star_beats_quasi_clique_small_m():
