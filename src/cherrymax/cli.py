@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import density, oracle, shifting
 from .constructions import (
@@ -95,27 +95,32 @@ def _resolve_options(args: argparse.Namespace, default_format: str) -> None:
 
 
 def _emit(args: argparse.Namespace, payload) -> None:
-    """Write a JSON object or CSV rows to --output or stdout."""
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        rows = payload if isinstance(payload, list) else [payload]
-        buffer_rows = []
-        fieldnames = list(rows[0].keys()) if rows else []
-        for row in rows:
-            buffer_rows.append(
-                {k: ("" if v is None else v) for k, v in row.items()}
-            )
-        sink = io.StringIO()
-        writer = csv.DictWriter(sink, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(buffer_rows)
-        text = sink.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write a JSON object, or rows as JSON or CSV, to --output or stdout.
+
+    Rows are written one at a time as they are read, so a ScanGrid is
+    never held whole.  The bytes equal json.dumps(rows, indent=2) and
+    csv.DictWriter's output, with None as "".
+    """
+    sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with sink as out:
+        if args.format == "json" and isinstance(payload, dict):
+            out.write(json.dumps(payload, indent=2) + "\n")
+        elif args.format == "json":
+            # each row indented one level, as inside json.dumps(rows, indent=2)
+            encode = json.JSONEncoder(indent=2).encode
+            sep = "[\n  "
+            for row in payload:
+                out.write(sep + encode(row).replace("\n", "\n  "))
+                sep = ",\n  "
+            out.write("[]\n" if sep == "[\n  " else "\n]\n")
+        elif isinstance(payload, density.ScanGrid):
+            out.writelines(payload.csv_chunks())
+        else:
+            rows = [payload] if isinstance(payload, dict) else payload
+            fieldnames = list(rows[0]) if rows else []
+            writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
 
 
 def _read_graph(path: str):
@@ -327,8 +332,13 @@ def _cmd_density(args) -> int:
             name: _parse_axis(kv[name], name) if name in kv else 0.0
             for name in ("rho", "alpha", "beta")
         }
-        rows = density.scan(axes["rho"], axes["alpha"], axes["beta"])
-        _emit(args, rows)
+        grid = density.scan(axes["rho"], axes["alpha"], axes["beta"], cap=args.cap)
+        if not grid:
+            # an empty scan must not exit 0
+            raise UsageError(
+                f"--scan grid has no points: every axis needs start <= stop (example: {usage})"
+            )
+        _emit(args, grid)
         return 0
     usage = "cherrymax density --converge family=g2 rho=0.68 alpha=0.2 beta=0.2 n=100,500,2000"
     kv = _kv_map(args.converge, {"family", "rho", "alpha", "beta", "n"}, usage)
@@ -384,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=None, help="worker processes for searches")
     common.add_argument(
         "--cap", type=int, default=None,
-        help="log2 of the largest search space (masks, or shifted-mode table cells)",
+        help="log2 of the largest search space: masks, shifted-mode table cells,"
+        " or density --scan grid points",
     )
     common.add_argument("--config", help=f"key=value config file (also {CONFIG_ENV})")
 

@@ -9,6 +9,13 @@ Three closed-form lower bounds are tracked, one per construction family:
 The g1 expression is only a valid bound when rho >= 2*alpha*beta + beta**2;
 infeasible points carry value None and are excluded from the max.
 
+``scan`` evaluates all three over a (rho, alpha, beta) grid.  It sizes
+the grid from its axes and refuses one of more than 2^cap points; the
+``ScanGrid`` it returns evaluates the points in numpy, a fixed-size block
+at a time, and gives them as row dicts or streams them as CSV text, so
+memory is set by the block, not the grid.  The values equal the scalar
+formulas bit for bit (see "grid scans" below).
+
 Finite-n densities are computed exactly from degree classes (each family
 has at most five distinct degrees), so convergence experiments run at any
 n without materializing edge sets.  The classes come from
@@ -19,11 +26,16 @@ remainder spill that ``g2_family`` refuses (see ROADMAP item 5).
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, sqrt
+from math import comb, floor, inf, isfinite, prod, sqrt
+
+import numpy as np
 
 from .constructions import ConstructionError, g1_classes, g2_classes, quasi_star_classes
+from .graph_core import DEFAULT_BIT_CAP, SearchCapExceededError
 
 _SLACK = 1e-12
 _TIE_BAND = 1e-9
@@ -77,45 +89,6 @@ def g1_density(rho: float, alpha: float, beta: float) -> float:
 
 def g2_density(rho: float, alpha: float) -> float:
     return alpha**3 + (rho - alpha**2) * _safe_sqrt(rho + alpha**2, "g2 term")
-
-
-@dataclass(frozen=True)
-class BoundBundle:
-    """The three lower-bound values at one point and their maximum.
-
-    g1_value is None when the point violates the g1 feasibility condition;
-    max_value then ranges over the remaining two.  best_label names the
-    winning expression, or lists all within 1e-9 of the max as a tie.
-    """
-
-    quasi_star_value: float
-    g1_value: float | None
-    g2_value: float
-    g1_feasible: bool
-    max_value: float
-    best_label: str
-
-
-def fact13_bounds(p: DensityPoint) -> BoundBundle:
-    qs = quasi_star_density(p.rho)
-    g2 = g2_density(p.rho, p.alpha)
-    feasible = p.g1_feasible
-    g1 = g1_density(p.rho, p.alpha, p.beta) if feasible else None
-    defined = [("quasi-star", qs)]
-    if g1 is not None:
-        defined.append(("g1", g1))
-    defined.append(("g2", g2))
-    mx = max(v for _, v in defined)
-    winners = [name for name, v in defined if v >= mx - _TIE_BAND]
-    label = winners[0] if len(winners) == 1 else "tie:" + "+".join(winners)
-    return BoundBundle(
-        quasi_star_value=qs,
-        g1_value=g1,
-        g2_value=g2,
-        g1_feasible=feasible,
-        max_value=mx,
-        best_label=label,
-    )
 
 
 @dataclass(frozen=True)
@@ -231,43 +204,179 @@ def convergence(family: str, p: DensityPoint, n_values) -> list[dict]:
     return rows
 
 
+
+
 # ----------------------------------------------------------------------
 # grid scans
+#
+# numpy evaluates a block of grid points with + - * sqrt, comparisons and
+# a first-wins max, in the order the scalar formulas above use.  Every
+# power term (sqrt(1 - rho)**3, alpha**2, alpha**3, beta**2) depends on
+# one axis only: it is a Python scalar, computed once per axis value in
+# the block and then broadcast.  numpy's array power can differ from
+# Python's pow in the last bit, which would change the printed floats.
+
+_FIELDS = ("rho", "alpha", "beta", "quasi_star", "g1", "g2", "g1_feasible", "max_value", "best")
+_BLOCK = 1 << 14
 
 
-def _axis_values(axis: tuple[float, float, float] | float) -> list[float]:
+def _winner_label(code: int) -> str:
+    names = [name for bit, name in enumerate(("quasi-star", "g1", "g2")) if code >> bit & 1]
+    return names[0] if len(names) == 1 else "tie:" + "+".join(names)
+
+
+# indexed by a bit mask of the expressions within _TIE_BAND of the max
+_LABELS = np.array([_winner_label(code) for code in range(8)], dtype=object)
+
+
+@dataclass(frozen=True)
+class _Axis:
+    """The values lo + i*step for i < size, or the single value lo when step is None."""
+
+    lo: float
+    step: float | None
+    size: int
+
+    def value(self, i: int) -> float:
+        return self.lo if self.step is None else self.lo + i * self.step
+
+    def slots(self, start: int, stop: int, stride: int) -> tuple[list[float], np.ndarray]:
+        """The axis values used by grid points [start, stop), and each point's slot among them.
+
+        Point p sits at axis index (p // stride) % size, so a block touches
+        at most stop - start values.
+        """
+        q = np.arange(start, stop) // stride
+        first = start // stride
+        span = (stop - 1) // stride - first + 1
+        if span >= self.size:
+            return [self.value(i) for i in range(self.size)], q % self.size
+        return [self.value((first + j) % self.size) for j in range(span)], q - first
+
+
+def _axis(axis, name: str) -> _Axis:
     if isinstance(axis, (int, float)):
-        return [float(axis)]
-    lo, hi, step = axis
-    if step <= 0:
-        raise ValueError("axis step must be positive")
-    count = int(round((hi - lo) / step))
-    values = [lo + i * step for i in range(count + 1)]
-    return [v for v in values if v <= hi + _SLACK]
+        _check_unit(axis, name)
+        return _Axis(float(axis), None, 1)
+    lo, hi, step = map(float, axis)
+    if not 0 < step < inf:
+        raise ValueError(f"{name} axis step must be a positive finite number, got {step}")
+    _check_unit(lo, name)
+    if not isfinite(hi):
+        raise DomainError(f"{name} axis stop must be finite, got {hi}")
+    span = (hi - lo) / step
+    if span >= 2.0**63:
+        raise SearchCapExceededError(
+            f"{name} axis step {step} gives more values than 64-bit indices hold"
+        )
+    size = max(round(span) + 1, 0)
+    # rounding the span may add one value past the stop
+    while size and lo + (size - 1) * step > hi + _SLACK:
+        size -= 1
+    if size:
+        _check_unit(lo + (size - 1) * step, name)
+    return _Axis(lo, step, size)
 
 
-def scan(rho_axis, alpha_axis, beta_axis) -> list[dict]:
-    """Evaluate fact13_bounds over a rectangular grid.
+def _sqrt0(x: np.ndarray) -> np.ndarray:
+    """sqrt(max(x, 0.0)), elementwise and with Python's max on signed zeros."""
+    return np.sqrt(np.where(x < 0.0, 0.0, x))
 
-    Each axis is either a fixed value or a (start, stop, step) triple;
-    rows are ordered by (rho, alpha, beta) grid index.
+
+class ScanGrid(Sequence):
+    """The rows of a scan, evaluated block by block when they are read.
+
+    Row i is a dict with the point (rho, alpha, beta), the quasi_star, g1
+    and g2 values (g1 None where infeasible), g1_feasible, the max_value
+    over the defined values, and as best the winning expression or a
+    "tie:" list of all within 1e-9 of the max.  Rows run in (rho, alpha, beta) grid
+    order.  Memory is set by the block size, not by the grid.
     """
-    rows = []
-    for rho in _axis_values(rho_axis):
-        for alpha in _axis_values(alpha_axis):
-            for beta in _axis_values(beta_axis):
-                bundle = fact13_bounds(DensityPoint(rho, alpha, beta))
-                rows.append(
-                    {
-                        "rho": rho,
-                        "alpha": alpha,
-                        "beta": beta,
-                        "quasi_star": bundle.quasi_star_value,
-                        "g1": bundle.g1_value,
-                        "g2": bundle.g2_value,
-                        "g1_feasible": bundle.g1_feasible,
-                        "max_value": bundle.max_value,
-                        "best": bundle.best_label,
-                    }
-                )
-    return rows
+
+    def __init__(self, rho: _Axis, alpha: _Axis, beta: _Axis):
+        self._axes = (rho, alpha, beta)
+        self._len = rho.size * alpha.size * beta.size
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> dict:
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError("scan row index out of range")
+        return dict(zip(_FIELDS, next(zip(*self._columns(index, index + 1, text=False)))))
+
+    def __iter__(self) -> Iterator[dict]:
+        for start, stop in self._blocks():
+            for values in zip(*self._columns(start, stop, text=False)):
+                yield dict(zip(_FIELDS, values))
+
+    def csv_chunks(self) -> Iterator[str]:
+        """The rows as CSV, header first, one chunk per block.
+
+        The text equals csv.DictWriter's: floats as repr, None as "", no
+        field needs quoting.
+        """
+        yield ",".join(_FIELDS) + "\n"
+        for start, stop in self._blocks():
+            yield "\n".join(map(",".join, zip(*self._columns(start, stop, text=True)))) + "\n"
+
+    def _blocks(self) -> Iterator[tuple[int, int]]:
+        for start in range(0, self._len, _BLOCK):
+            yield start, min(start + _BLOCK, self._len)
+
+    def _columns(self, start: int, stop: int, *, text: bool) -> list[list]:
+        """The _FIELDS columns of points [start, stop), as values or as CSV text."""
+        rho_axis, alpha_axis, beta_axis = self._axes
+        rhos, ir = rho_axis.slots(start, stop, alpha_axis.size * beta_axis.size)
+        alphas, ia = alpha_axis.slots(start, stop, beta_axis.size)
+        betas, ib = beta_axis.slots(start, stop, 1)
+        quasi_stars = [quasi_star_density(r) for r in rhos]
+        rho, alpha, beta = np.array(rhos)[ir], np.array(alphas)[ia], np.array(betas)[ib]
+        qs = np.array(quasi_stars)[ir]
+        a2 = np.array([a**2 for a in alphas])[ia]
+        a3 = np.array([a**3 for a in alphas])[ia]
+        b2 = np.array([b**2 for b in betas])[ib]
+
+        ab = 2 * alpha * beta
+        feasible = rho + _SLACK >= ab + b2
+        g1 = a2 * beta + b2 * alpha + rho * _sqrt0(rho - ab)
+        g2 = a3 + (rho - a2) * _sqrt0(rho + a2)
+        pick_g1 = feasible & (g1 > qs)
+        top = np.where(pick_g1, g1, qs)
+        pick_g2 = g2 > top
+        top = np.where(pick_g2, g2, top)
+        near = top - _TIE_BAND
+        code = (qs >= near) + 2 * (feasible & (g1 >= near)) + 4 * (g2 >= near)
+
+        def column(values, slots=None):
+            out = np.array([repr(v) for v in values] if text else values, dtype=object)
+            return out if slots is None else out[slots]
+
+        qs_col = column(quasi_stars, ir)
+        g1_col = column(g1.tolist())
+        g1_col[~feasible] = "" if text else None
+        g2_col = column(g2.tolist())
+        max_col = np.where(pick_g2, g2_col, np.where(pick_g1, g1_col, qs_col))
+        feasible_col = np.where(feasible, "True", "False") if text else feasible
+        columns = (
+            column(rhos, ir), column(alphas, ia), column(betas, ib), qs_col,
+            g1_col, g2_col, feasible_col, max_col, _LABELS[code],
+        )
+        return [col.tolist() for col in columns]
+
+
+def scan(rho_axis, alpha_axis, beta_axis, *, cap: int = DEFAULT_BIT_CAP) -> ScanGrid:
+    """The quasi-star, g1 and g2 bounds over a rectangular grid.
+
+    Each axis is either a fixed value or an inclusive (start, stop, step)
+    triple.  The grid is sized from the axes alone, so one of more than
+    2^cap points is refused before anything is evaluated.
+    """
+    axes = (_axis(rho_axis, "rho"), _axis(alpha_axis, "alpha"), _axis(beta_axis, "beta"))
+    points = prod(axis.size for axis in axes)
+    if points > 1 << cap:
+        raise SearchCapExceededError(f"scan grid of {points} points exceeds the cap of 2^{cap}")
+    return ScanGrid(*axes)

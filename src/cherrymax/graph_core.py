@@ -28,8 +28,11 @@ class UndefinedDensityError(ValueError):
     """Density requested for a graph too small to have one."""
 
 
+DEFAULT_BIT_CAP = 24
+
+
 class SearchCapExceededError(RuntimeError):
-    """An enumeration hit its configured cap before finishing."""
+    """A search space or grid is larger than 2^cap, its configured cap."""
 
 
 def _max_safe_vertices() -> int:

@@ -40,6 +40,7 @@ from .constructions import (
     quasi_star,
 )
 from .graph_core import (
+    DEFAULT_BIT_CAP,
     BipartiteGraph,
     Graph,
     SearchCapExceededError,
@@ -48,7 +49,6 @@ from .graph_core import (
     z1_index,
 )
 
-DEFAULT_BIT_CAP = 24
 _CHUNK_BITS = 20
 
 

@@ -193,6 +193,37 @@ def test_density_scan(capsys):
     assert len(lines) == 4  # header plus inclusive endpoints
 
 
+@pytest.mark.parametrize(
+    "rho, reason",
+    [("rho=0.8:0.6:0.1", "grid has no points"), ("rho=0.6:0.8:inf", "positive finite number")],
+)
+def test_density_scan_refuses_empty_grid(capsys, rho, reason):
+    code, out, err = run_cli(capsys, "density", "--scan", rho, "alpha=0.2", "beta=0.2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
+
+
+def test_density_scan_nan_step_reads_like_negative_step(capsys):
+    reasons = set()
+    for step in ("nan", "-0.1"):
+        code, out, err = run_cli(capsys, "density", "--scan", f"rho=0.6:0.8:{step}")
+        assert code == 2 and out == ""
+        reasons.add(err.partition(", got")[0])
+    assert reasons == {"error: rho axis step must be a positive finite number"}
+
+
+@pytest.mark.parametrize("cap, code", [("16", 2), ("17", 0)])
+def test_density_scan_honours_cap(capsys, cap, code):
+    # the numeric benchmark's grid: 41 * 51 * 51 = 106,641 points, between 2^16 and 2^17
+    argv = ["density", "--scan", "rho=0.6:0.8:0.005", "alpha=0:0.5:0.01", "beta=0:0.5:0.01"]
+    got, out, err = run_cli(capsys, *argv, "--cap", cap)
+    assert got == code
+    if code:
+        assert out == "" and "106641 points exceeds the cap of 2^16" in err
+    else:
+        assert err == "" and out.count("\n") == 1 + 106641
+
+
 def test_density_scan_needs_rho(capsys):
     code, _, err = run_cli(capsys, "density", "--scan", "alpha=0.2")
     assert code == 2

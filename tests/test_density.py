@@ -1,11 +1,16 @@
 """Asymptotic density formulas and finite-n convergence."""
 
+import csv
+import io
+import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, sqrt
 
 import pytest
 
+from cherrymax import cli, density
 from cherrymax.constructions import g1_family, g2_family, quasi_star
 from cherrymax.graph_core import Graph
 from cherrymax.density import (
@@ -13,14 +18,87 @@ from cherrymax.density import (
     DomainError,
     construction_density,
     convergence,
-    fact13_bounds,
     g1_density,
     g2_density,
     quasi_star_density,
     scan,
     thm_value,
 )
-from cherrymax.graph_core import count_cherries, densities
+from cherrymax.graph_core import SearchCapExceededError, count_cherries, densities
+
+
+# ----------------------------------------------------------------------
+# scalar reference: the three bounds at one point, one float at a time
+
+
+@dataclass(frozen=True)
+class BoundBundle:
+    """The three lower-bound values at one point and their maximum.
+
+    g1_value is None when the point violates the g1 feasibility condition;
+    max_value then ranges over the remaining two.  best_label names the
+    winning expression, or lists all within 1e-9 of the max as a tie.
+    """
+
+    quasi_star_value: float
+    g1_value: float | None
+    g2_value: float
+    g1_feasible: bool
+    max_value: float
+    best_label: str
+
+
+def fact13_bounds(p: DensityPoint) -> BoundBundle:
+    qs = quasi_star_density(p.rho)
+    g2 = g2_density(p.rho, p.alpha)
+    feasible = p.g1_feasible
+    g1 = g1_density(p.rho, p.alpha, p.beta) if feasible else None
+    defined = [("quasi-star", qs)]
+    if g1 is not None:
+        defined.append(("g1", g1))
+    defined.append(("g2", g2))
+    mx = max(v for _, v in defined)
+    winners = [name for name, v in defined if v >= mx - 1e-9]
+    label = winners[0] if len(winners) == 1 else "tie:" + "+".join(winners)
+    return BoundBundle(
+        quasi_star_value=qs,
+        g1_value=g1,
+        g2_value=g2,
+        g1_feasible=feasible,
+        max_value=mx,
+        best_label=label,
+    )
+
+
+def scalar_axis(axis) -> list[float]:
+    if isinstance(axis, float):
+        return [axis]
+    lo, hi, step = axis
+    values = [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+    return [v for v in values if v <= hi + 1e-12]
+
+
+def scalar_scan(rho_axis, alpha_axis, beta_axis) -> list[dict]:
+    """The scan rows, point by point through fact13_bounds."""
+    rows = []
+    for rho in scalar_axis(rho_axis):
+        for alpha in scalar_axis(alpha_axis):
+            for beta in scalar_axis(beta_axis):
+                bundle = fact13_bounds(DensityPoint(rho, alpha, beta))
+                rows.append(
+                    {
+                        "rho": rho,
+                        "alpha": alpha,
+                        "beta": beta,
+                        "quasi_star": bundle.quasi_star_value,
+                        "g1": bundle.g1_value,
+                        "g2": bundle.g2_value,
+                        "g1_feasible": bundle.g1_feasible,
+                        "max_value": bundle.max_value,
+                        "best": bundle.best_label,
+                    }
+                )
+    return rows
 
 
 def test_quasi_star_expression():
@@ -191,3 +269,72 @@ def test_finite_densities_stay_below_formula_scale():
     assert count_cherries(g) == sum(
         comb(d, 2) for d in g.degrees()
     )
+
+
+# rho = 0 and 1, alpha = 0 (g1/g2 ties), infeasible g1 points, single-value
+# axes, and the numeric benchmark's rho and alpha axes, where numpy's array
+# power differs from Python's pow in the last bit
+SCAN_GRIDS = [
+    ((0.0, 1.0, 0.125), (0.0, 0.5, 0.1), (0.0, 1.0, 0.25)),
+    ((0.6, 0.8, 0.005), (0.0, 0.5, 0.01), 0.2),
+    ((0.6, 0.8, 0.05), (0.0, 0.5, 0.05), 0.2),
+    (1.0, 0.0, (0.0, 1.0, 0.1)),
+    (0.0, (0.0, 0.9, 0.25), 0.0),  # round(3.6) = 4 steps overshoots the stop
+    (0.68, 0.2, 0.2),
+]
+
+
+@pytest.mark.parametrize("block", [7, 1 << 14])
+@pytest.mark.parametrize("axes", SCAN_GRIDS)
+def test_scan_rows_equal_scalar_reference(monkeypatch, axes, block):
+    """Every vectorised row equals the scalar row exactly, at any block size."""
+    monkeypatch.setattr(density, "_BLOCK", block)
+    expected = scalar_scan(*axes)
+    grid = scan(*axes)
+    assert len(grid) == len(expected)
+    rows = list(grid)
+    for got, want in zip(rows, expected):
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+    assert grid[0] == expected[0] and grid[-1] == expected[-1]
+    assert grid[len(grid) // 2] == expected[len(grid) // 2]
+    with pytest.raises(IndexError):
+        grid[len(grid)]
+
+
+def test_scan_reference_grid_covers_the_cases():
+    rows = scalar_scan(*SCAN_GRIDS[0])
+    labels = {row["best"] for row in rows}
+    assert {"tie:quasi-star+g1+g2", "tie:g1+g2"} <= labels
+    assert any(not row["g1_feasible"] for row in rows)
+    assert {row["rho"] for row in rows} >= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_cli_bytes_equal_scalar_rendering(capsys, tmp_path, fmt):
+    argv = ["density", "--scan", "rho=0:1:0.125", "alpha=0:0.5:0.1", "beta=0:1:0.25"]
+    rows = scalar_scan(*SCAN_GRIDS[0])
+    if fmt == "csv":
+        sink = io.StringIO()
+        writer = csv.DictWriter(sink, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        expected = sink.getvalue()
+    else:
+        expected = json.dumps(rows, indent=2) + "\n"
+    assert cli.main(argv + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+    out_file = tmp_path / f"scan.{fmt}"
+    assert cli.main(argv + ["--format", fmt, "-o", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_text(encoding="utf-8") == expected
+
+
+def test_scan_refuses_before_evaluating():
+    with pytest.raises(ValueError, match="positive finite"):
+        scan((0.6, 0.8, float("nan")), 0.2, 0.2)
+    with pytest.raises(DomainError):
+        scan((0.5, 1.5, 0.25), 0.2, 0.2)
+    with pytest.raises(SearchCapExceededError):
+        scan((0.0, 1.0, 1e-12), 0.2, 0.2)
+    assert len(scan((0.8, 0.6, 0.1), 0.2, 0.2)) == 0
