@@ -27,7 +27,7 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .density import DomainError
+from .graph_core import DEFAULT_BIT_CAP, SearchCapExceededError
 
 _SLACK = 1e-12
 _DERIV_TOL = 1e-7
@@ -35,7 +35,7 @@ _H = 1e-5
 _BOUNDARY_BAND = 1e-9
 
 D_RANGE = (17 / 50, 7 / 20)
-_D_CHUNK = 16
+_D_CHUNK = 8
 
 
 def _masked_sqrt(rad):
@@ -199,59 +199,6 @@ _LEMMAS: dict[str, _LemmaDef] = {
 }
 
 LEMMA_IDS = tuple(_LEMMAS)
-
-
-@dataclass(frozen=True)
-class AppendixPoint:
-    """An in-box evaluation point with y already solved."""
-
-    lemma: str
-    d: float
-    a: float
-    x: float
-    y: float
-
-
-def solve_y(lemma: str, d: float, a: float, x: float) -> float:
-    reg = _lemma(lemma)
-    if reg.y_solve is None:
-        raise ValueError(f"{lemma} has no dependent variable")
-    y, valid = reg.y_solve(d, a, x)
-    if not bool(valid):
-        raise DomainError(f"{lemma}: no real y at d={d}, a={a}, x={x}")
-    return float(y)
-
-
-def make_point(lemma: str, d: float, a: float, x: float) -> AppendixPoint:
-    """Solve for y and validate the full box membership."""
-    reg = _lemma(lemma)
-    if reg.x_range is None:
-        raise ValueError(f"{lemma} has no free variable")
-    lo, hi = D_RANGE
-    if not lo - _SLACK <= d <= hi + _SLACK:
-        raise DomainError(f"d={d} outside [{lo}, {hi}]")
-    alo, ahi = reg.a_range
-    if not alo - _SLACK <= a <= ahi + _SLACK:
-        raise DomainError(f"a={a} outside [{alo}, {ahi}]")
-    xlo, xhi = reg.x_range
-    if not xlo - _SLACK <= x <= xhi + _SLACK:
-        raise DomainError(f"x={x} outside [{xlo}, {xhi}]")
-    y = solve_y(lemma, d, a, x)
-    if not -_SLACK <= y <= 1 - a + _SLACK:
-        raise DomainError(f"solved y={y} outside [0, 1-a]")
-    if not bool(reg.extra_box(d, a, x, y)):
-        raise DomainError(f"({d}, {a}, {x}) outside the {lemma} box")
-    res = float(reg.residual(d, a, x, y))
-    assert abs(res) <= 1e-10, f"constraint residual {res} after solve"
-    return AppendixPoint(lemma, d, a, x, float(y))
-
-
-def eval_f(lemma: str, pt: AppendixPoint) -> float:
-    """Direct substitution of the point into the lemma's objective."""
-    reg = _lemma(lemma)
-    if reg.f is None:
-        raise ValueError(f"{lemma} has no objective function")
-    return float(reg.f(pt.d, pt.a, pt.x, pt.y))
 
 
 def _lemma(lemma: str) -> _LemmaDef:
@@ -471,12 +418,21 @@ def _a4_proof_region_min(step: float = 0.002) -> float:
     return float(margins.min())
 
 
-def check_lemma(lemma: str, steps: int = 100) -> LemmaCheckReport:
-    """Run the full grid verification for one lemma."""
+def check_lemma(lemma: str, steps: int = 100, *, cap: int = DEFAULT_BIT_CAP) -> LemmaCheckReport:
+    """Run the full grid verification for one lemma.
+
+    A grid of more than 2^cap nodes, counted as (steps+1)^3 for every
+    lemma, is refused before anything is evaluated.
+    """
     if steps < 10:
         raise ValueError("need at least 10 steps per axis")
     start = time.perf_counter()
     reg = _lemma(lemma)
+    nodes = (steps + 1) ** 3
+    if nodes > 1 << cap:
+        raise SearchCapExceededError(
+            f"appendix grid of {nodes} nodes ({steps} steps per axis) exceeds the cap of 2^{cap}"
+        )
     overall, interior, stats = _margin_sweep(lemma, steps)
     coarse_overall, _, _ = _margin_sweep(lemma, max(10, steps // 2))
     derivative_checks = [
@@ -550,8 +506,8 @@ def check_lemma(lemma: str, steps: int = 100) -> LemmaCheckReport:
     )
 
 
-def check_all(steps: int = 100) -> list[LemmaCheckReport]:
-    return [check_lemma(lemma, steps) for lemma in LEMMA_IDS]
+def check_all(steps: int = 100, *, cap: int = DEFAULT_BIT_CAP) -> list[LemmaCheckReport]:
+    return [check_lemma(lemma, steps, cap=cap) for lemma in LEMMA_IDS]
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .graph_core import BipartiteGraph, ConstraintWitness, Graph
+from .graph_core import BipartiteGraph, Graph
 
 
 class ConstructionError(ValueError):
@@ -131,14 +131,12 @@ def quasi_star_classes(n: int, m: int) -> Counter:
     return Counter({n - 1 - degree: count for degree, count in classes.items()})
 
 
-def ak_bipartite(r: int, s: int, m: int, *, require_wide: bool = True) -> BipartiteGraph:
+def ak_bipartite(r: int, s: int, m: int) -> BipartiteGraph:
     """Column filling: p full columns then q cells of column p.
 
-    The public contract keeps r >= s (wide orientation); the relaxed form
-    is used internally where the Zagreb decomposition identities evaluate
-    the same shape with swapped part sizes.
+    Defined for the wide orientation r >= s only.
     """
-    if require_wide and r < s:
+    if r < s:
         raise ConstructionError(f"need r >= s, got r={r} < s={s}")
     if not 0 <= m <= r * s:
         raise ConstructionError(f"m={m} out of range for {r}x{s}")
@@ -314,12 +312,3 @@ def g2_family(n: int, m: int, ell: int, k: int) -> Graph:
 def g2_classes(n: int, m: int, ell: int, k: int) -> Counter:
     """Degree multiset of the G2 layout, remainder spill (b > a) included."""
     return _degree_classes(n, _g2_layout(n, m, ell, k)[2])
-
-
-def g1_witness(n: int, ell: int, k: int) -> ConstraintWitness:
-    return ConstraintWitness(tuple(range(n - ell, n)), ell, k)
-
-
-def g2_witness(n: int, m: int, ell: int, k: int) -> ConstraintWitness:
-    a, _ = _g2_decomposition(m, ell)
-    return ConstraintWitness(tuple(range(a, a + ell)), ell, k)

@@ -91,43 +91,6 @@ def g2_density(rho: float, alpha: float) -> float:
     return alpha**3 + (rho - alpha**2) * _safe_sqrt(rho + alpha**2, "g2 term")
 
 
-@dataclass(frozen=True)
-class TheoremValue:
-    value: float
-    in_range: bool
-    branch: str | None
-
-
-def thm_value(p: DensityPoint, which: str) -> TheoremValue:
-    """Right-hand side of the two equality results.
-
-    The formulas are total; in_range reports whether the point satisfies
-    the hypotheses (including the beta pinning) within 1e-12.
-    """
-    rho_ok = 17 / 25 - _SLACK <= p.rho <= 7 / 10 + _SLACK
-    if which == "1.4":
-        in_range = (
-            rho_ok
-            and 17 / 100 - _SLACK <= p.alpha <= 23 / 100 + _SLACK
-            and abs(p.beta - p.alpha) <= _SLACK
-        )
-        return TheoremValue(g2_density(p.rho, p.alpha), in_range, None)
-    if which == "1.5":
-        in_range = (
-            rho_ok
-            and 1 / 3 - _SLACK <= p.alpha <= 2 / 5 + _SLACK
-            and abs(p.beta - 1 / 5) <= _SLACK
-        )
-        qs = quasi_star_density(p.rho)
-        g2 = g2_density(p.rho, p.alpha)
-        if abs(qs - g2) <= _TIE_BAND:
-            branch = "tie"
-        else:
-            branch = "quasi-star" if qs > g2 else "g2"
-        return TheoremValue(max(qs, g2), in_range, branch)
-    raise ValueError(f"unknown theorem {which!r}, expected '1.4' or '1.5'")
-
-
 # ----------------------------------------------------------------------
 # exact finite-n densities via degree classes
 

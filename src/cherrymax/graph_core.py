@@ -20,13 +20,7 @@ CSV readers) assume 64-bit-safe magnitudes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, isqrt
-
-
-class UndefinedDensityError(ValueError):
-    """Density requested for a graph too small to have one."""
-
 
 DEFAULT_BIT_CAP = 24
 
@@ -209,67 +203,6 @@ def _all_degrees(g: Graph | BipartiteGraph) -> list[int]:
     if isinstance(g, BipartiteGraph):
         return g.left_degrees() + g.right_degrees()
     return g.degrees()
-
-
-def densities(g: Graph) -> tuple[Fraction, Fraction]:
-    """Exact (edge density, cherry density) pair.
-
-    Edge density normalizes by C(n,2), cherry density by 3*C(n,3); both lie
-    in [0, 1] with the extremes attained by the empty and complete graphs.
-    Requires n >= 3 so both denominators are positive.
-    """
-    if g.n < 3:
-        raise UndefinedDensityError(f"densities need n >= 3, got n={g.n}")
-    return (
-        Fraction(g.num_edges, comb(g.n, 2)),
-        Fraction(count_cherries(g), 3 * comb(g.n, 3)),
-    )
-
-
-def min_degree_over_set(g: Graph, vertices) -> int:
-    vs = list(vertices)
-    if not vs:
-        raise ValueError("minimum degree over an empty vertex set is undefined")
-    deg = g.degrees()
-    return min(deg[v] for v in vs)
-
-
-def _colex_combinations(items: list[int], size: int):
-    """Yield size-subsets of items in colexicographic order."""
-    if size == 0:
-        yield ()
-        return
-    for i in range(size - 1, len(items)):
-        for rest in _colex_combinations(items[:i], size - 1):
-            yield rest + (items[i],)
-
-
-def find_constraint_witness(
-    g: Graph, ell: int, k: int, *, max_candidates: int = 1_000_000
-) -> ConstraintWitness | None:
-    """First independent ell-set of degree >= k, in colexicographic order.
-
-    Candidates are drawn from the vertices of degree >= k only.  Returns
-    None when no witness exists; raises SearchCapExceededError instead of
-    silently truncating when the candidate budget runs out.
-    """
-    if ell < 0 or k < 0:
-        raise ValueError("witness parameters must be nonnegative")
-    deg = g.degrees()
-    eligible = [v for v in range(g.n) if deg[v] >= k]
-    if len(eligible) < ell:
-        return None
-    adj = g.adjacency()
-    seen = 0
-    for cand in _colex_combinations(eligible, ell):
-        seen += 1
-        if seen > max_candidates:
-            raise SearchCapExceededError(
-                f"witness search exceeded {max_candidates} candidates"
-            )
-        if all(v not in adj[u] for i, u in enumerate(cand) for v in cand[i + 1 :]):
-            return ConstraintWitness(cand, ell, k)
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -150,7 +150,8 @@ def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CA
 
     ``incidence`` holds one mask per vertex; a vertex's degree in a graph
     is the popcount of the graph's mask against it.  Masks are scanned in
-    chunks of 2^_CHUNK_BITS, over ``jobs`` worker processes when jobs > 1.
+    chunks of 2^_CHUNK_BITS, over ``jobs`` worker processes when jobs > 1,
+    but never more workers than chunks.
     Chunks are made and merged one at a time, so memory stays flat as
     bits grows.
 
@@ -163,7 +164,7 @@ def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CA
     _check_bits(bits, cap)
     tasks = ((lo, hi, bits, incidence, witness, pairs, m) for lo, hi in _mask_chunks(bits))
     if jobs > 1 and bits > _CHUNK_BITS:
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, 1 << (bits - _CHUNK_BITS))) as pool:
             return reduce(_merge, pool.imap_unordered(_scan_chunk, tasks))
     return reduce(_merge, map(_scan_chunk, tasks))
 

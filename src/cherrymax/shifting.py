@@ -7,14 +7,16 @@ Its effect on the Zagreb index has a closed form in the endpoint degrees
     disjoint pairs:     2*(d(x) + d(y) - d(u) - d(v)) + 4
     sharing one vertex: 2*(d(x) + d(y) - d(u) - d(v)) + 2
 
-left_compress pushes every left-vertex neighborhood of a bipartite graph
-into a prefix of the degree-sorted columns; swap_sides exchanges the roles
-of the two parts when the right side has the smaller maximum degree; both
-preserve edge count and witness degrees and never decrease the Zagreb
-index.  shift_general is the analogous normal form for general graphs
-carrying an independent-set witness.  analyze_omega reads off the
-clique-prefix statistic of a shifted graph: the vertices outside the
-witness split into a leading clique and a trailing independent set.
+Both shift loops below compute it inline and log it with every move.
+left_compress_with_log pushes every left-vertex neighborhood of a
+bipartite graph into a prefix of the degree-sorted columns; swap_sides
+exchanges the roles of the two parts when the right side has the smaller
+maximum degree; both preserve edge count and witness degrees and never
+decrease the Zagreb index.  shift_general_with_log is the analogous normal
+form for general graphs carrying an independent-set witness.
+analyze_omega reads off the clique-prefix statistic of a shifted graph:
+the vertices outside the witness split into a leading clique and a
+trailing independent set.
 """
 
 from __future__ import annotations
@@ -30,39 +32,6 @@ class SwapMove:
 
     removed: tuple[int, int]
     added: tuple[int, int]
-
-
-def swap_delta(g: Graph, move: SwapMove) -> int:
-    """Exact Zagreb-index change of applying the move to g."""
-    u, v = move.removed
-    x, y = move.added
-    if not g.has_edge(u, v):
-        raise ValueError(f"removed pair {(u, v)} is not an edge")
-    if x == y:
-        raise ValueError("added pair is a loop")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"added pair {(x, y)} out of range")
-    if g.has_edge(x, y):
-        raise ValueError(f"added pair {(x, y)} is already an edge")
-    if {x, y} == {u, v}:
-        raise ValueError("move is a no-op")
-    deg = g.degrees()
-    base = 2 * (deg[x] + deg[y] - deg[u] - deg[v])
-    overlap = len({u, v} & {x, y})
-    if overlap == 0:
-        return base + 4
-    if overlap == 1:
-        return base + 2
-    raise AssertionError("unreachable")
-
-
-def apply_swap(g: Graph, move: SwapMove) -> Graph:
-    u, v = move.removed
-    x, y = move.added
-    edges = set(g.edges)
-    edges.discard((min(u, v), max(u, v)))
-    edges.add((min(x, y), max(x, y)))
-    return Graph(g.n, edges)
 
 
 # ----------------------------------------------------------------------
@@ -158,16 +127,12 @@ def left_compress_with_log(
     return out, log, row_order, col_order
 
 
-def left_compress(b: BipartiteGraph, witness: ConstraintWitness) -> BipartiteGraph:
-    return left_compress_with_log(b, witness)[0]
-
-
 def swap_sides(b: BipartiteGraph, witness: ConstraintWitness) -> BipartiteGraph:
     """Exchange part roles so the left part carries the larger maximum degree.
 
-    Input must be shifted (a left_compress output).  If the right part
-    already has maximum degree at least the left's, the graph is returned
-    unchanged.  Otherwise one of two Zagreb-preserving rewirings applies,
+    Input must be shifted (a left_compress_with_log output).  If the
+    right part already has maximum degree at least the left's, the graph
+    is returned unchanged.  Otherwise one of two Zagreb-preserving rewirings applies,
     selected by whether row k-1 still reaches column ell-1:
 
     * transpose: with the right maximum below s, at most s - 1 rows are
@@ -255,7 +220,7 @@ def shift_general_with_log(
     and witness degrees never change.
 
     The move log is recorded in the input graph's own labels, so replaying
-    it from g with apply_swap reproduces the fixed point before
+    its swaps on the edges of g reproduces the fixed point before
     relabeling.  The returned graph is that fixed point relabeled by the
     final ranking (order[new] = old).
     """
@@ -323,10 +288,6 @@ def shift_general_with_log(
     )
     new_witness.check_in(out)
     return out, log, order
-
-
-def shift_general(g: Graph, witness: ConstraintWitness) -> Graph:
-    return shift_general_with_log(g, witness)[0]
 
 
 def is_shifted_general(g: Graph, witness_size: int) -> bool:

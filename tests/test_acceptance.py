@@ -153,14 +153,10 @@ def test_criterion_05_zagreb_decompositions(report):
                         rest = m - k * ell
                         if k + ell <= r:
                             b = b1_family(BipartiteFamilyParams(r, s, m, ell, k))
-                            tail = z1_index(
-                                ak_bipartite(r - ell, k, rest, require_wide=False)
-                            )
+                            tail = z1_index(ak_bipartite(r - ell, k, rest))
                         else:
                             b = b2_family(BipartiteFamilyParams(r, s, m, ell, k))
-                            tail = z1_index(
-                                ak_bipartite(k, r - ell, rest, require_wide=False)
-                            )
+                            tail = z1_index(ak_bipartite(k, r - ell, rest))
                         if z1_index(b) != head + tail:
                             report(5, False, f"tuple {(r, s, m, ell, k)}")
                         checked += 1

@@ -7,19 +7,23 @@ from math import sqrt
 import pytest
 
 from cherrymax.appendix import (
+    _LEMMAS,
     LEMMA_IDS,
     a1_corner_expected,
     bound_value,
     check_all,
     check_lemma,
     closed_form_a2,
-    eval_f,
     interior_bounds_check,
-    make_point,
     quasi_star_scaled,
-    solve_y,
 )
-from cherrymax.density import DomainError
+
+
+def solve_y(lemma, d, a, x):
+    """The y the grid sweep solves for at one point, asserted real."""
+    y, valid = _LEMMAS[lemma].y_solve(d, a, x)
+    assert bool(valid), (lemma, d, a, x)
+    return float(y)
 
 
 def test_bound_value():
@@ -41,56 +45,30 @@ def test_a1_corner_value():
     assert abs(16 * sqrt(2) / 125 - 0.18102) < 1e-5
 
 
-def test_make_point_solves_constraints():
-    for lemma, d, a, x in (
-        ("A2", 0.345, 0.2, 0.1),
-        ("A3", 0.345, 0.35, 0.2),
-        ("A4", 0.345, 0.35, 0.2),
-        ("A5", 0.345, 0.35, 0.4),
-    ):
-        pt = make_point(lemma, d=d, a=a, x=x)
-        assert pt.y >= 0
-        # the y-solve is checked inside make_point to 1e-10; spot-check A5's
-        # defining constraint here as well
-        if lemma == "A5":
-            assert abs(pt.y**2 / 2 + (1 - pt.y) * pt.x - d) <= 1e-10
-
-
-def test_make_point_rejections():
-    with pytest.raises(ValueError):
-        make_point("A1", d=0.345, a=0.2, x=0.0)  # no free x in that lemma
-    with pytest.raises((DomainError, ValueError)):
-        make_point("A2", d=0.2, a=0.2, x=0.1)  # d outside the band
-    with pytest.raises((DomainError, ValueError)):
-        make_point("A2", d=0.345, a=0.2, x=0.3)  # x beyond a
-    with pytest.raises((DomainError, ValueError)):
-        make_point("A3", d=0.345, a=0.35, x=0.36)  # x beyond y - 1/5
-
-
 def test_a2_closed_form_matches_direct():
+    reg = _LEMMAS["A2"]
     rng = random.Random(2718)
     checked = 0
     while checked < 1000:
         d = rng.uniform(0.34, 0.35)
         a = rng.uniform(0.17, 0.23)
         x = rng.uniform(0.0, a)
-        try:
-            pt = make_point("A2", d=d, a=a, x=x)
-        except (DomainError, ValueError):
+        y, valid = reg.y_solve(d, a, x)
+        if not valid or x > a:
             continue
         checked += 1
-        direct = eval_f("A2", pt)
+        direct = reg.f(d, a, x, y)
         closed = closed_form_a2(d=d, a=a, x=x)
         assert abs(direct - closed) <= 1e-12
 
 
 def test_a2_maximum_sits_at_x_equals_a():
+    f = _LEMMAS["A2"].f
     for d, a in ((0.34, 0.17), (0.345, 0.2), (0.35, 0.23)):
-        pt = make_point("A2", d=d, a=a, x=a)
-        assert eval_f("A2", pt) == pytest.approx(bound_value(a, d), abs=1e-12)
+        assert f(d, a, a, solve_y("A2", d, a, a)) == pytest.approx(bound_value(a, d), abs=1e-12)
         # interior points stay below
-        inner = make_point("A2", d=d, a=a, x=a / 2)
-        assert eval_f("A2", inner) < bound_value(a, d)
+        inner = a / 2
+        assert f(d, a, inner, solve_y("A2", d, a, inner)) < bound_value(a, d)
 
 
 def test_solve_y_matches_formulas():

@@ -254,6 +254,25 @@ def test_verify_appendix_single(capsys):
     assert payload["lemma"] == "A1" and payload["passed"]
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # 257^3 nodes are over the default cap of 2^24
+        (("--steps", "256"), 2),
+        # 151^3 = 3,442,951 nodes lie between 2^21 and 2^22
+        (("--lemma", "A1", "--steps", "150", "--cap", "21"), 2),
+        (("--lemma", "A1", "--steps", "150", "--cap", "22"), 0),
+    ],
+)
+def test_verify_appendix_honours_cap(capsys, argv, code):
+    got, out, err = run_cli(capsys, "verify-appendix", *argv)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: appendix grid of") and "exceeds the cap" in err
+    else:
+        assert err == "" and json.loads(out)["passed"]
+
+
 def test_verify_appendix_interior(capsys):
     code, out, _ = run_cli(capsys, "verify-appendix", "--lemma", "interior")
     assert code == 0
@@ -295,6 +314,15 @@ def test_config_unknown_key(tmp_path, capsys):
         code, _, err = run_cli(capsys, "count", "--input", path, "--config", str(cfg))
         assert code == 2
         assert key in err and ":1:" in err
+
+
+def test_config_format_checked(tmp_path, capsys):
+    path = write_graph(tmp_path, "k3.json", {"n": 3, "edges": [[0, 1]]})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("format = xml\n")
+    code, out, err = run_cli(capsys, "count", "--input", path, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "format" in err and ":1:" in err
 
 
 def test_invalid_construction_params(capsys):

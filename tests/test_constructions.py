@@ -14,10 +14,8 @@ from cherrymax.constructions import (
     b2_family,
     g1_classes,
     g1_family,
-    g1_witness,
     g2_classes,
     g2_family,
-    g2_witness,
     linear_decomposition,
     quasi_clique,
     quasi_star,
@@ -25,11 +23,30 @@ from cherrymax.constructions import (
     triangular_decomposition,
 )
 from cherrymax.graph_core import (
+    ConstraintWitness,
     Graph,
     count_cherries,
-    min_degree_over_set,
     z1_index,
 )
+
+
+def _g2_clique_size(m, ell):
+    """The largest a with a*ell + C(a, 2) <= m, by a plain loop."""
+    a = 0
+    while (a + 1) * ell + comb(a + 1, 2) <= m:
+        a += 1
+    return a
+
+
+def g1_witness(n, ell, k):
+    """G1's witness: the last ell vertices."""
+    return ConstraintWitness(tuple(range(n - ell, n)), ell, k)
+
+
+def g2_witness(n, m, ell, k):
+    """G2's witness: the ell vertices after the clique."""
+    a = _g2_clique_size(m, ell)
+    return ConstraintWitness(tuple(range(a, a + ell)), ell, k)
 
 
 def test_triangular_decomposition():
@@ -100,7 +117,6 @@ def test_ak_bipartite():
     assert ak_bipartite(4, 3, 0).num_edges == 0
     with pytest.raises(ConstructionError):
         ak_bipartite(2, 3, 4)  # narrow side first
-    assert ak_bipartite(2, 3, 4, require_wide=False).num_edges == 4
     with pytest.raises(ConstructionError):
         ak_bipartite(3, 2, 7)
 
@@ -157,12 +173,12 @@ def test_fact_22_decompositions():
         rest = m - k * ell
         if k + ell <= r:
             b = b1_family(BipartiteFamilyParams(r, s, m, ell, k))
-            tail = z1_index(ak_bipartite(r - ell, k, rest, require_wide=False))
+            tail = z1_index(ak_bipartite(r - ell, k, rest))
             assert z1_index(b) == head + tail, (r, s, m, ell, k)
             checked_b1 += 1
         else:
             b = b2_family(BipartiteFamilyParams(r, s, m, ell, k))
-            tail = z1_index(ak_bipartite(k, r - ell, rest, require_wide=False))
+            tail = z1_index(ak_bipartite(k, r - ell, rest))
             assert z1_index(b) == head + tail, (r, s, m, ell, k)
             checked_b2 += 1
     assert checked_b1 > 100 and checked_b2 > 100
@@ -239,7 +255,6 @@ def test_g_families_properties():
             assert g.num_edges == m
             w = witness_of(g)
             w.check_in(g)
-            assert min_degree_over_set(g, w.vertices) >= k
             assert z1_index(g) == 2 * count_cherries(g) + 2 * m
 
 
@@ -256,9 +271,7 @@ def _degrees_or_refusal(build, *args):
 def _g2_spill_degrees(n, m, ell):
     """Degrees of the G2 layout built by hand, with a found by a plain loop,
     remainder edges from vertex a+ell reaching into the witness."""
-    a = 0
-    while (a + 1) * ell + comb(a + 1, 2) <= m:
-        a += 1
+    a = _g2_clique_size(m, ell)
     b = m - a * ell - comb(a, 2)
     edges = [(u, v) for u in range(a) for v in range(u + 1, a + ell)]
     edges += [(v, a + ell) for v in range(b)]

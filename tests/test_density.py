@@ -22,9 +22,13 @@ from cherrymax.density import (
     g2_density,
     quasi_star_density,
     scan,
-    thm_value,
 )
-from cherrymax.graph_core import SearchCapExceededError, count_cherries, densities
+from cherrymax.graph_core import SearchCapExceededError, count_cherries
+
+
+def densities(g: Graph) -> tuple[Fraction, Fraction]:
+    """Exact (edge density, cherry density) of a built graph."""
+    return Fraction(g.num_edges, comb(g.n, 2)), Fraction(count_cherries(g), 3 * comb(g.n, 3))
 
 
 # ----------------------------------------------------------------------
@@ -147,24 +151,6 @@ def test_fact13_winner_and_tie():
     # alpha = beta = 0 collapses both g-expressions to rho^(3/2)
     tie = fact13_bounds(DensityPoint(0.68, 0.0, 0.0))
     assert tie.best_label == "tie:g1+g2"
-
-
-def test_thm_values():
-    v14 = thm_value(DensityPoint(0.68, 0.2, 0.2), "1.4")
-    assert v14.in_range
-    assert v14.value == pytest.approx(g2_density(0.68, 0.2), abs=0)
-    assert not thm_value(DensityPoint(0.68, 0.2, 0.3), "1.4").in_range
-    assert not thm_value(DensityPoint(0.5, 0.2, 0.2), "1.4").in_range
-
-    v15 = thm_value(DensityPoint(0.68, 0.35, 0.2), "1.5")
-    assert v15.in_range
-    assert v15.branch in ("quasi-star", "g2", "tie")
-    assert v15.value == pytest.approx(
-        max(quasi_star_density(0.68), g2_density(0.68, 0.35)), abs=0
-    )
-    assert not thm_value(DensityPoint(0.68, 0.35, 0.21), "1.5").in_range
-    with pytest.raises(ValueError):
-        thm_value(DensityPoint(0.5), "1.6")
 
 
 def half_up(x: float) -> int:

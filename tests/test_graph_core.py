@@ -2,7 +2,6 @@
 
 import json
 import random
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -12,17 +11,12 @@ from cherrymax.graph_core import (
     BipartiteGraph,
     ConstraintWitness,
     Graph,
-    SearchCapExceededError,
-    UndefinedDensityError,
     bipartite_from_json,
     bipartite_to_json,
     count_cherries,
-    densities,
-    find_constraint_witness,
     from_json_obj,
     graph_from_json,
     graph_to_json,
-    min_degree_over_set,
     z1_index,
 )
 
@@ -88,38 +82,6 @@ def test_edge_normalization():
     assert not g.has_edge(0, 1)
 
 
-def test_densities_exact():
-    triangle = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert densities(triangle) == (Fraction(1), Fraction(1))
-    g = Graph(4, [(0, 1), (1, 2)])
-    edge_d, cherry_d = densities(g)
-    assert edge_d == Fraction(2, 6)
-    assert cherry_d == Fraction(1, 3 * comb(4, 3))
-    with pytest.raises(UndefinedDensityError):
-        densities(Graph(2, [(0, 1)]))
-
-
-def test_min_degree_over_set():
-    g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert min_degree_over_set(g, [1, 2]) == 1
-    assert min_degree_over_set(g, [0]) == 3
-    with pytest.raises(ValueError):
-        min_degree_over_set(g, [])
-
-
-def test_witness_colex_order():
-    # 4-cycle 1-0-2-3-1: independent pairs are {1,2} and {0,3};
-    # colexicographic order puts {1,2} first (smaller largest element).
-    cycle = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    w = find_constraint_witness(cycle, 2, 2)
-    assert w is not None
-    assert w.vertices == (1, 2)
-    assert w.target_size == 2 and w.degree_floor == 2
-
-    # no independent pair has a degree-3 member
-    assert find_constraint_witness(cycle, 2, 3) is None
-
-
 def test_witness_check_in():
     g = Graph(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
     ConstraintWitness((0, 1), 2, 2).check_in(g)
@@ -127,18 +89,6 @@ def test_witness_check_in():
         ConstraintWitness((0, 2), 2, 1).check_in(g)  # not independent
     with pytest.raises(ValueError):
         ConstraintWitness((0, 1), 2, 3).check_in(g)  # degree floor unmet
-
-
-def test_witness_search_cap():
-    # complete graph: every pair fails, so the search must hit the cap
-    k8 = Graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
-    with pytest.raises(SearchCapExceededError):
-        find_constraint_witness(k8, 2, 0, max_candidates=5)
-    # a generous cap exhausts the candidates and reports no witness
-    assert find_constraint_witness(k8, 2, 0) is None
-    # the colex-first candidate wins immediately on an empty graph
-    w = find_constraint_witness(Graph(30, []), 2, 0)
-    assert w.vertices == (0, 1)
 
 
 def test_json_round_trip():

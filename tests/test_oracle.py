@@ -190,6 +190,33 @@ def test_jobs_do_not_change_the_report(monkeypatch):
         assert query(3).to_json() == want
 
 
+def test_jobs_start_no_more_workers_than_chunks(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for multiprocessing.Pool: records its size, maps in process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(oracle, "Pool", InlinePool)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 10)
+    want = phi_bipartite(4, 3, 2, 2, 6).to_json()
+    # 12 mask bits in chunks of 2^10 make 4 chunks
+    for jobs in (64, 4, 2):
+        assert phi_bipartite(4, 3, 2, 2, 6, jobs=jobs).to_json() == want
+    assert sizes == [4, 4, 2]
+
+
 def test_predicted_branches():
     # m < rk with a short witness stack: the column construction
     graph, branch = predicted_bipartite(4, 3, 2, 2, 6)

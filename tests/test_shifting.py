@@ -13,16 +13,11 @@ from cherrymax.graph_core import (
     z1_index,
 )
 from cherrymax.shifting import (
-    SwapMove,
     analyze_omega,
-    apply_swap,
     is_shifted,
     is_shifted_general,
-    left_compress,
     left_compress_with_log,
-    shift_general,
     shift_general_with_log,
-    swap_delta,
     swap_sides,
 )
 
@@ -43,42 +38,6 @@ def witness_for(rng: random.Random, b: BipartiteGraph) -> ConstraintWitness:
     return ConstraintWitness(tuple(rows), ell, min(degs[i] for i in rows))
 
 
-def test_swap_delta_path_ends():
-    path = Graph(3, [(0, 1), (1, 2)])
-    assert swap_delta(path, SwapMove((0, 1), (0, 2))) == 0
-
-
-def test_swap_delta_triangle_to_pendant():
-    g = Graph(4, [(0, 1), (0, 2), (1, 2)])
-    move = SwapMove((0, 1), (0, 3))
-    assert swap_delta(g, move) == -2
-    assert z1_index(apply_swap(g, move)) == 10
-
-
-def test_swap_delta_matches_recomputation():
-    rng = random.Random(4242)
-    trials = 0
-    while trials < 200:
-        n = rng.randint(3, 10)
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        m = rng.randint(1, len(pairs) - 1)
-        g = Graph(n, rng.sample(pairs, m))
-        non_edges = [p for p in pairs if p not in g.edges]
-        move = SwapMove(rng.choice(sorted(g.edges)), rng.choice(non_edges))
-        trials += 1
-        assert swap_delta(g, move) == z1_index(apply_swap(g, move)) - z1_index(g)
-
-
-def test_swap_validation():
-    g = Graph(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        swap_delta(g, SwapMove((0, 2), (1, 2)))  # removed pair absent
-    with pytest.raises(ValueError):
-        swap_delta(g, SwapMove((0, 1), (0, 1)))  # no-op
-    with pytest.raises(ValueError):
-        swap_delta(g, SwapMove((0, 1), (2, 2)))  # loop
-
-
 def test_left_compress_fixed_point():
     b = ak_bipartite(3, 2, 4)
     out, log, _, _ = left_compress_with_log(b, ConstraintWitness((0,), 1, 0))
@@ -88,7 +47,7 @@ def test_left_compress_fixed_point():
 
 def test_left_compress_antidiagonal():
     b = BipartiteGraph(2, 2, [(0, 1), (1, 0)])
-    out = left_compress(b, ConstraintWitness((0,), 1, 1))
+    out = left_compress_with_log(b, ConstraintWitness((0,), 1, 1))[0]
     assert sorted(out.edges) == [(0, 0), (1, 0)]
     assert z1_index(out) == 6
 
@@ -117,7 +76,7 @@ def test_left_compress_nested_columns():
     rng = random.Random(11)
     for _ in range(200):
         b = random_bipartite(rng, 12)
-        out = left_compress(b, ConstraintWitness((0,), 1, 0))
+        out = left_compress_with_log(b, ConstraintWitness((0,), 1, 0))[0]
         cols = [{i for i, j in out.edges if j == c} for c in range(out.s)]
         for left, right in zip(cols, cols[1:]):
             assert right <= left
@@ -132,7 +91,7 @@ def test_swap_sides_properties():
         r = rng.randint(s, max(s, 20 // s))
         cells = [(i, j) for i in range(r) for j in range(s)]
         b = BipartiteGraph(r, s, rng.sample(cells, rng.randint(0, len(cells))))
-        shifted = left_compress(b, ConstraintWitness((0,), 1, 0))
+        shifted = left_compress_with_log(b, ConstraintWitness((0,), 1, 0))[0]
         degs = shifted.left_degrees()
         ell = rng.randint(1, shifted.r)
         # family hypotheses: ell rows of degree >= k with ell >= k
@@ -158,7 +117,7 @@ def test_shift_general_small():
     # star with an extra far edge; witness is the two leaves 3, 4
     g = Graph(5, [(0, 1), (0, 2), (3, 4)])
     with pytest.raises(ValueError):
-        shift_general(g, ConstraintWitness((3, 4), 2, 1))  # 3-4 not independent
+        shift_general_with_log(g, ConstraintWitness((3, 4), 2, 1))  # 3-4 not independent
     g = Graph(5, [(0, 3), (0, 4), (1, 2)])
     out, log, order = shift_general_with_log(g, ConstraintWitness((3, 4), 2, 1))
     assert out.num_edges == 3
@@ -214,22 +173,37 @@ def test_compress_log_replays_from_input():
 
 def test_shift_log_replays_from_input():
     rng = random.Random(607)
+    graphs = []
     for _ in range(50):
         n = rng.randint(3, 8)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        g = Graph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+        graphs.append(Graph(n, rng.sample(pairs, rng.randint(0, len(pairs)))))
+    # its log holds a move whose two pairs share no vertex
+    graphs.append(Graph(8, [(0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (1, 3), (2, 3),
+                            (2, 7), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (5, 6)]))
+    shared = set()
+    for g in graphs:
+        n = g.n
         deg = g.degrees()
         v0 = min(range(n), key=lambda v: deg[v])
         out, log, order = shift_general_with_log(
             g, ConstraintWitness((v0,), 1, deg[v0])
         )
-        replay = g
+        edges = set(g.edges)
         for move, delta in log:
-            assert swap_delta(replay, move) == delta
-            replay = apply_swap(replay, move)
+            # a logged pair may name its larger vertex first
+            removed, added = tuple(sorted(move.removed)), tuple(sorted(move.added))
+            assert removed in edges and added not in edges
+            shared.add(len(set(removed) & set(added)))
+            before = z1_index(Graph(n, edges))
+            edges.remove(removed)
+            edges.add(added)
+            assert z1_index(Graph(n, edges)) == before + delta
         relabel = {old: new for new, old in enumerate(order)}
-        relabeled = Graph(n, {(relabel[u], relabel[v]) for u, v in replay.edges})
+        relabeled = Graph(n, {(relabel[u], relabel[v]) for u, v in edges})
         assert relabeled == out
+    # both cases of the closed-form delta were replayed
+    assert shared == {0, 1}
 
 
 def test_analyze_omega_blocks():
@@ -241,7 +215,7 @@ def test_analyze_omega_blocks():
         deg = g.degrees()
         v0 = min(range(n), key=lambda v: deg[v])
         w = ConstraintWitness((v0,), 1, deg[v0])
-        out = shift_general(g, w)
+        out = shift_general_with_log(g, w)[0]
         analysis = analyze_omega(out, ConstraintWitness((0,), 1, deg[v0]))
         omega = analysis.omega
         assert 0 <= omega <= n - 1
