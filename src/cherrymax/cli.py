@@ -111,6 +111,9 @@ def _emit(args: argparse.Namespace, payload) -> None:
     with sink as out:
         if args.format == "json" and isinstance(payload, dict):
             out.write(json.dumps(payload, indent=2) + "\n")
+        elif args.format == "json" and isinstance(payload, density.ScanGrid):
+            out.writelines(payload.json_chunks())
+            out.write("\n")
         elif args.format == "json":
             # each row indented one level, as inside json.dumps(rows, indent=2)
             encode = json.JSONEncoder(indent=2).encode

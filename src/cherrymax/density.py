@@ -26,6 +26,7 @@ remainder spill that ``g2_family`` refuses (see ROADMAP item 5).
 
 from __future__ import annotations
 
+import json
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -285,6 +286,27 @@ class ScanGrid(Sequence):
         yield ",".join(_FIELDS) + "\n"
         for start, stop in self._blocks():
             yield "\n".join(map(",".join, zip(*self._columns(start, stop, text=True)))) + "\n"
+
+    def json_chunks(self) -> Iterator[str]:
+        """The rows as JSON, one chunk per block, built from the CSV text.
+
+        The text equals json.dumps(list(self), indent=2): floats as repr,
+        None as null, booleans as true/false, labels quoted.
+        """
+        keys = [f"    {json.dumps(field)}: " for field in _FIELDS]
+        literal = {"": "null", "True": "true", "False": "false"}
+        labels = {label: json.dumps(label) for label in _LABELS}
+        g1, feasible, best = (_FIELDS.index(f) for f in ("g1", "g1_feasible", "best"))
+        sep = "[\n"
+        for start, stop in self._blocks():
+            columns = self._columns(start, stop, text=True)
+            columns[g1] = [literal.get(v, v) for v in columns[g1]]
+            columns[feasible] = [literal[v] for v in columns[feasible]]
+            columns[best] = [labels[v] for v in columns[best]]
+            rows = (",\n".join(map(str.__add__, keys, values)) for values in zip(*columns))
+            yield sep + "  {\n" + "\n  },\n  {\n".join(rows) + "\n  }"
+            sep = ",\n"
+        yield "[]" if sep == "[\n" else "\n]"
 
     def _blocks(self) -> Iterator[tuple[int, int]]:
         for start in range(0, self._len, _BLOCK):

@@ -3,9 +3,16 @@
 Graphs are enumerated as edge bitmasks and reduced with numpy.  A bipartite
 graph on r x s cells is the mask with bit i*s + j set for edge (i, j); a
 general graph on n vertices uses one bit per vertex pair in lexicographic
-order.  Degrees are popcounts against per-vertex incidence masks, so the
-whole search space is processed in vectorized chunks.  Every search, point
-query or theorem sweep, runs through the one chunked kernel ``_scan``.
+order.  Degrees are popcounts against per-vertex incidence masks.  Every
+search, point query or theorem sweep, runs through the one chunked kernel
+``_scan``, which splits each mask into a high and a low half.  A vertex's
+degree is the sum of its degrees in the two halves, read from one table
+per half, and the Zagreb index of a block of high halves joined to a
+block of low halves is one int16 matrix product of the halves' tables;
+it is exact, since every partial sum is an integer of at most
+2 * 64 * 64.  A query at one edge count m joins the high halves of
+popcount j only to the low halves of popcount m - j, so it makes only the
+C(bits, m) masks with m edges.
 Bipartite queries in shifted mode instead maximize over Ferrers diagrams
 with an exact dynamic program over column heights, ``_shifted_optimum``,
 which reports the optimum with the lexicographically largest heights.
@@ -21,8 +28,8 @@ predicts for those parameters.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial, reduce
-from itertools import combinations
+from functools import cached_property, partial, reduce
+from itertools import chain, combinations, islice
 from math import comb
 from multiprocessing import Pool
 
@@ -49,17 +56,26 @@ from .graph_core import (
     z1_index,
 )
 
-_CHUNK_BITS = 20
+_CHUNK_BITS = 18
 
 
 # ----------------------------------------------------------------------
 # the enumeration kernel
 #
-# A witness is a function witness(deg, masks, floor) that gives every mask
-# a small level at a floor: deg holds one row of degrees per vertex and
-# one column per mask.  A mask satisfies the pair (floor, need) when its
-# level at that floor is at least need, so pairs sharing a floor share one
-# witness evaluation.  Levels count vertices and stay below
+# A mask is split into a high half h and a low half l of low_bits bits,
+# mask = h * 2^low_bits + l.  A vertex's degree is then A[v, h] + B[v, l],
+# where A and B are the popcounts of the halves against its incidence
+# mask, and Z1 = zA[h] + zB[l] + 2 * sum_v A[v, h] * B[v, l] with
+# zA = sum_v A^2 and zB = sum_v B^2.  _Half keeps those tables as one
+# matrix per half, so the Z1 of every mask in a block of high halves
+# joined to a block of low halves is one matrix product.
+#
+# A witness is a function witness(chunk, floor) that gives every mask of a
+# _Chunk a small level at a floor; it reads chunk.deg (one row of degrees
+# per vertex, one column per mask) and chunk.masks only if it needs them,
+# and neither is built otherwise.  A mask satisfies the pair (floor, need)
+# when its level at that floor is at least need, so pairs sharing a floor
+# share one witness evaluation.  Levels count vertices and stay below
 # len(incidence) + 1.
 
 
@@ -74,11 +90,110 @@ def _check_bits(bits: int, cap: int) -> None:
         )
 
 
-def _mask_chunks(bits: int):
-    total = 1 << bits
-    step = 1 << min(bits, _CHUNK_BITS)
-    for lo in range(0, total, step):
-        yield lo, min(lo + step, total)
+@dataclass
+class _Half:
+    """Half masks with their degree table (one uint8 row per vertex), edge
+    counts, and Z1 factor: [A; zA; 1] for high halves and [2B; 1; zB] for
+    low halves, so that high.factor^T @ low.factor is the Z1 of each join.
+
+    The factors and the product are int16, which holds any Z1 of a uint64
+    mask: Z1 <= 2 * edges * max degree <= 2 * 64 * 64, and every term and
+    partial sum of the product is a nonnegative integer no larger.  The
+    product is an einsum rather than a BLAS call, whose thread pool can
+    spin for many times the product's own cost in a short-lived process."""
+
+    masks: np.ndarray
+    deg: np.ndarray
+    edges: np.ndarray
+    factor: np.ndarray
+
+    @classmethod
+    def of(cls, masks, incidence, high):
+        deg = np.empty((len(incidence), masks.size), dtype=np.uint8)
+        for row, vertex in zip(deg, incidence):
+            np.bitwise_count(masks & np.uint64(vertex), out=row)
+        d = deg.astype(np.int16)
+        z, ones = np.square(d).sum(axis=0, dtype=np.int16), np.ones(masks.size, dtype=np.int16)
+        factor = np.vstack([d, z, ones] if high else [2 * d, ones, z])
+        return cls(masks, deg, np.bitwise_count(masks), factor)
+
+    def __getitem__(self, part):
+        return _Half(self.masks[part], self.deg[:, part], self.edges[part], self.factor[:, part])
+
+
+class _Chunk:
+    """The masks of a list of (high, low) half joins, in join order.
+
+    z1 is built at once; edges, deg and masks on first use."""
+
+    def __init__(self, joins, low_bits):
+        self.joins, self.low_bits = joins, low_bits
+        self.size = sum(high.masks.size * low.masks.size for high, low in joins)
+        self.z1 = self._join((), np.int16, lambda high, low, out: np.einsum(
+            "vh,vl->hl", high.factor, low.factor, out=out))
+
+    def _join(self, rows, dtype, fill):
+        out = np.empty(rows + (self.size,), dtype=dtype)
+        at = 0
+        for high, low in self.joins:
+            n = high.masks.size * low.masks.size
+            # splitting the last axis of a slice is always a view
+            fill(high, low, out[..., at:at + n].reshape(rows + (high.masks.size, low.masks.size)))
+            at += n
+        return out
+
+    @cached_property
+    def edges(self):
+        return self._join((), np.uint8, lambda high, low, out: np.add(
+            high.edges[:, None], low.edges, out=out))
+
+    @cached_property
+    def deg(self):
+        return self._join((len(self.joins[0][1].deg),), np.uint8, lambda high, low, out: np.add(
+            high.deg[:, :, None], low.deg[:, None, :], out=out))
+
+    @cached_property
+    def masks(self):
+        shift = np.uint64(self.low_bits)
+        return self._join((), np.uint64, lambda high, low, out: np.bitwise_or(
+            high.masks[:, None] << shift, low.masks, out=out))
+
+
+def _chunks(bits, low_bits, lows, m):
+    """Lists of (high halves, slice of lows) joins, about 2^_CHUNK_BITS
+    masks per list.  ``lows`` ascend by popcount.  Without m every high
+    half joins every low half; with m, high halves of popcount j join only
+    the low halves of popcount m - j, so only masks with m edges are made.
+    High halves are grouped 2^_CHUNK_BITS at a time, so memory stays flat
+    however many there are."""
+    budget = 1 << _CHUNK_BITS
+    highs = 1 << (bits - low_bits)
+    starts = np.searchsorted(lows.edges, np.arange(low_bits + 2))
+    chunk, size = [], 0
+    for start in range(0, highs, budget):
+        block = np.arange(start, min(start + budget, highs), dtype=np.uint64)
+        if m is None:
+            groups = [(block, slice(0, 1 << low_bits))]
+        else:
+            edges = np.bitwise_count(block)
+            groups = [
+                (block[edges == j], slice(starts[m - j], starts[m - j + 1]))
+                for j in range(max(0, m - low_bits), min(m, bits - low_bits) + 1)
+            ]
+        for group, part in groups:
+            width, at = part.stop - part.start, 0
+            while at < group.size:
+                # width <= 2^low_bits <= budget, so an empty chunk has room
+                room = (budget - size) // width
+                if not room:
+                    yield chunk
+                    chunk, size = [], 0
+                    continue
+                take = min(group.size - at, room)
+                chunk.append((group[at:at + take], part))
+                size, at = size + take * width, at + take
+    if chunk:
+        yield chunk
 
 
 def _merge(acc, new):
@@ -99,19 +214,18 @@ def _merge(acc, new):
     return best, count, first
 
 
-def _best_at_m(masks, z1, levels, pairs):
+def _best_at_m(chunk, levels, pairs):
     best = np.full(len(pairs), -1, dtype=np.int64)
     count = np.zeros(len(pairs), dtype=np.int64)
     first = np.zeros(len(pairs), dtype=np.uint64)
     for p, (floor, need) in enumerate(pairs):
-        ok = levels[floor] >= need
-        if ok.any():
-            z = z1[ok]
-            best[p] = z.max()
+        z = np.where(levels[floor] >= need, chunk.z1, -1)
+        best[p] = z.max()
+        if best[p] >= 0:
             at = z == best[p]
-            count[p] = at.sum()
-            # masks ascend, so the first optimum is the smallest
-            first[p] = masks[ok][at.argmax()]
+            count[p] = np.count_nonzero(at)
+            # masks do not ascend within a chunk, so take the smallest optimum
+            first[p] = chunk.masks[at].min()
     return best, count, first
 
 
@@ -128,50 +242,57 @@ def _best_per_edge_count(edges, z1, levels, pairs, bits, width):
 
 
 def _scan_chunk(task):
-    lo, hi, bits, incidence, witness, pairs, m = task
-    masks = np.arange(lo, hi, dtype=np.uint64)
-    edges = np.bitwise_count(masks)
+    joins, lows, low_bits, high_incidence, witness, pairs, m, bits = task
+    chunk = _Chunk([(_Half.of(block, high_incidence, True), lows[part]) for block, part in joins],
+                   low_bits)
+    levels = {floor: witness(chunk, floor) for floor in dict.fromkeys(f for f, _ in pairs)}
     if m is not None:
-        masks = masks[edges == m]
-    deg = np.empty((len(incidence), masks.size), dtype=np.uint8)
-    # int16 holds any Z1 of a uint64 mask: Z1 <= 2 * edges * max degree <= 2 * 64 * 64
-    z1 = np.zeros(masks.size, dtype=np.int16)
-    for row, vertex in zip(deg, incidence):
-        np.bitwise_count(masks & np.uint64(vertex), out=row)
-        z1 += np.multiply(row, row, dtype=np.int16)
-    levels = {floor: witness(deg, masks, floor) for floor in dict.fromkeys(f for f, _ in pairs)}
-    if m is not None:
-        return _best_at_m(masks, z1, levels, pairs)
-    return _best_per_edge_count(edges, z1, levels, pairs, bits, len(incidence) + 1), None, None
+        return _best_at_m(chunk, levels, pairs)
+    width = len(high_incidence) + 1
+    return _best_per_edge_count(chunk.edges, chunk.z1, levels, pairs, bits, width), None, None
 
 
 def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CAP):
     """Best Zagreb index over all 2^bits edge masks, for each witness pair.
 
     ``incidence`` holds one mask per vertex; a vertex's degree in a graph
-    is the popcount of the graph's mask against it.  Masks are scanned in
-    chunks of 2^_CHUNK_BITS, over ``jobs`` worker processes when jobs > 1,
-    but never more workers than chunks.
-    Chunks are made and merged one at a time, so memory stays flat as
-    bits grows.
+    is the popcount of the graph's mask against it.  Each mask is split
+    into a high half and its low min(bits // 2, _CHUNK_BITS) bits.  The
+    degree table, edge counts and Z1 factor of every low half are built
+    once per search, those of the high halves once per chunk (see _Half),
+    and a chunk joins blocks of high halves to the low halves, about
+    2^_CHUNK_BITS masks in all.  With m, high halves of popcount j are
+    joined only to low halves of popcount m - j, so exactly the C(bits, m)
+    masks with m edges are made.  Chunks are made and merged one at a
+    time, so memory stays flat as bits grows; with jobs > 1 they run over
+    min(jobs, chunks) worker processes, and in process when there is one.
 
     Without m the result is (table, None, None): table[p, e] is the best
-    Z1 over masks with e edges that satisfy pairs[p], or -1.  With m only
-    masks with m edges are scanned, and the result is (best, count, first)
-    per pair: the best Z1 or -1, how many masks reach it, and the smallest
-    of those masks.
+    Z1 over masks with e edges that satisfy pairs[p], or -1.  With m the
+    result is (best, count, first) per pair: the best Z1 or -1, how many
+    masks reach it, and the smallest of those masks.
     """
     _check_bits(bits, cap)
-    tasks = ((lo, hi, bits, incidence, witness, pairs, m) for lo, hi in _mask_chunks(bits))
-    if jobs > 1 and bits > _CHUNK_BITS:
-        with Pool(min(jobs, 1 << (bits - _CHUNK_BITS))) as pool:
+    low_bits = min(bits // 2, _CHUNK_BITS)
+    lows = np.arange(1 << low_bits, dtype=np.uint64)
+    lows = lows[np.argsort(np.bitwise_count(lows), kind="stable")]
+    lows = _Half.of(lows, [vertex & ((1 << low_bits) - 1) for vertex in incidence], False)
+    high_incidence = [vertex >> low_bits for vertex in incidence]
+    chunks = _chunks(bits, low_bits, lows, m)
+    head = list(islice(chunks, jobs))
+    tasks = (
+        (joins, lows, low_bits, high_incidence, witness, pairs, m, bits)
+        for joins in chain(head, chunks)
+    )
+    if len(head) > 1:
+        with Pool(len(head)) as pool:
             return reduce(_merge, pool.imap_unordered(_scan_chunk, tasks))
     return reduce(_merge, map(_scan_chunk, tasks))
 
 
-def _unconstrained(deg, masks, floor):
+def _unconstrained(chunk, floor):
     """Witness met by every graph, with the one pair (0, 0)."""
-    return np.zeros(masks.size, dtype=np.uint8)
+    return np.zeros(chunk.size, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -198,10 +319,10 @@ def _witness_holds(row_degrees, col_degrees, side: str, ell: int, k: int) -> boo
     return sum(d >= floor for d in (row_degrees if side == "left" else col_degrees)) >= need
 
 
-def _bipartite_level(r, side, deg, masks, floor):
+def _bipartite_level(r, side, chunk, floor):
     """Kernel witness: how many vertices on the side have degree >= floor."""
-    level = np.zeros(masks.size, dtype=np.uint8)
-    for row in deg[:r] if side == "left" else deg[r:]:
+    level = np.zeros(chunk.size, dtype=np.uint8)
+    for row in chunk.deg[:r] if side == "left" else chunk.deg[r:]:
         level += row >= floor
     return level
 
@@ -404,12 +525,13 @@ def _general_pair(ell: int, k: int) -> tuple[int, int]:
     return (ell, k + 1) if ell else (0, 0)
 
 
-def _independent_level(n, deg, masks, ell):
+def _independent_level(n, chunk, ell):
     """Kernel witness: 1 + the largest minimum degree of an independent
     ell-set, 0 when there is none (and for ell = 0, see _general_pair)."""
-    level = np.zeros(masks.size, dtype=np.uint8)
+    level = np.zeros(chunk.size, dtype=np.uint8)
     if ell == 0:
         return level
+    masks, deg = chunk.masks, chunk.deg
     for sub in combinations(range(n), ell):
         inside = sum(1 << _pair_bit(u, v, n) for u, v in combinations(sub, 2))
         independent = (masks & np.uint64(inside)) == 0

@@ -219,10 +219,11 @@ def shift_general_with_log(
     degrees; every move therefore raises the Zagreb index by at least 2,
     and witness degrees never change.
 
-    The move log is recorded in the input graph's own labels, so replaying
-    its swaps on the edges of g reproduces the fixed point before
-    relabeling.  The returned graph is that fixed point relabeled by the
-    final ranking (order[new] = old).
+    The move log is recorded in the input graph's own labels, each pair as
+    (smaller, larger) like the edges of g, so replaying its swaps on the
+    edges of g reproduces the fixed point before relabeling.  The returned
+    graph is that fixed point relabeled by the final ranking
+    (order[new] = old).
     """
     witness.check_in(g)
     iset = set(witness.vertices)
@@ -273,7 +274,7 @@ def shift_general_with_log(
         adj[v].discard(u)
         adj[x].add(y)
         adj[y].add(x)
-        log.append((SwapMove((u, v), (x, y)), delta))
+        log.append((SwapMove((min(u, v), max(u, v)), (min(x, y), max(x, y))), delta))
 
     order = ranking()
     rank = {v: i for i, v in enumerate(order)}

@@ -297,7 +297,7 @@ def test_scan_reference_grid_covers_the_cases():
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_scan_cli_bytes_equal_scalar_rendering(capsys, tmp_path, fmt):
+def test_scan_cli_bytes_equal_scalar_rendering(capsys, tmp_path, monkeypatch, fmt):
     argv = ["density", "--scan", "rho=0:1:0.125", "alpha=0:0.5:0.1", "beta=0:1:0.25"]
     rows = scalar_scan(*SCAN_GRIDS[0])
     if fmt == "csv":
@@ -308,12 +308,15 @@ def test_scan_cli_bytes_equal_scalar_rendering(capsys, tmp_path, fmt):
         expected = sink.getvalue()
     else:
         expected = json.dumps(rows, indent=2) + "\n"
-    assert cli.main(argv + ["--format", fmt]) == 0
-    assert capsys.readouterr().out == expected
-    out_file = tmp_path / f"scan.{fmt}"
-    assert cli.main(argv + ["--format", fmt, "-o", str(out_file)]) == 0
-    assert capsys.readouterr().out == ""
-    assert out_file.read_text(encoding="utf-8") == expected
+    # 270 points: 39 blocks of 7 and one of the default 2^14
+    for block in (7, 1 << 14):
+        monkeypatch.setattr(density, "_BLOCK", block)
+        assert cli.main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+        out_file = tmp_path / f"scan-{block}.{fmt}"
+        assert cli.main(argv + ["--format", fmt, "-o", str(out_file)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out_file.read_text(encoding="utf-8") == expected
 
 
 def test_scan_refuses_before_evaluating():

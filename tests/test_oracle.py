@@ -1,5 +1,6 @@
 """Brute-force maximizers checked against an independent enumeration."""
 
+import functools
 import json
 from itertools import combinations, combinations_with_replacement
 
@@ -210,11 +211,95 @@ def test_jobs_start_no_more_workers_than_chunks(monkeypatch):
 
     monkeypatch.setattr(oracle, "Pool", InlinePool)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 10)
-    want = phi_bipartite(4, 3, 2, 2, 6).to_json()
-    # 12 mask bits in chunks of 2^10 make 4 chunks
+    want = phi_bipartite(4, 4, 2, 2, 5).to_json()
+    # the C(16, 5) = 4368 masks with 5 edges fill 5 chunks of at most 2^10
     for jobs in (64, 4, 2):
-        assert phi_bipartite(4, 3, 2, 2, 6, jobs=jobs).to_json() == want
-    assert sizes == [4, 4, 2]
+        assert phi_bipartite(4, 4, 2, 2, 5, jobs=jobs).to_json() == want
+    assert sizes == [5, 4, 2]
+    # C(12, 6) = 924 masks are one chunk, which runs in process
+    assert phi_bipartite(4, 3, 2, 2, 6, jobs=64).to_json() == phi_bipartite(4, 3, 2, 2, 6).to_json()
+    assert sizes == [5, 4, 2]
+
+
+@functools.cache
+def _per_mask(bits, incidence):
+    """(mask, degree list, Z1) for every mask in range(2**bits)."""
+    rows = []
+    for mask in range(2**bits):
+        deg = [(mask & vertex).bit_count() for vertex in incidence]
+        rows.append((mask, deg, sum(d * d for d in deg)))
+    return rows
+
+
+def _reference_scan(bits, incidence, level, pairs):
+    """Plain per-mask reference for oracle._scan over range(2**bits).
+
+    level(deg, mask, floor) is the witness level of one mask from its
+    degree list.  Returns (best, count, first) dicts keyed by (pair index,
+    edge count), for the pairs a mask with that many edges can meet."""
+    best, count, first = {}, {}, {}
+    floors = {floor for floor, _ in pairs}
+    for mask, deg, z1 in _per_mask(bits, tuple(incidence)):
+        levels = {floor: level(deg, mask, floor) for floor in floors}
+        for p, (floor, need) in enumerate(pairs):
+            if levels[floor] < need:
+                continue
+            key = p, mask.bit_count()
+            if z1 > best.get(key, -1):
+                best[key], count[key], first[key] = z1, 0, mask
+            count[key] += z1 == best[key]
+    return best, count, first
+
+
+def _kernel_cases():
+    """(bits, incidence, kernel witness, reference level, pairs) for
+    every bit count 0..14 on bipartite shapes, plus general graphs."""
+    shapes = ((1, 0), (1, 1), (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1),
+              (4, 2), (3, 3), (5, 2), (11, 1), (4, 3), (13, 1), (7, 2))
+    for r, s in shapes:
+        incidence = oracle._bipartite_incidence(r, s)
+        yield r * s, incidence, oracle._unconstrained, lambda deg, mask, floor: 0, [(0, 0)]
+        for side in ("left", "right"):
+            pairs = [oracle._floor_need(side, ell, k) for k in range(s + 1) for ell in range(r + 1)]
+
+            def level(deg, mask, floor, side=side, r=r):
+                return sum(d >= floor for d in (deg[:r] if side == "left" else deg[r:]))
+
+            yield r * s, incidence, functools.partial(oracle._bipartite_level, r, side), level, pairs
+    for n in range(1, 6):
+        bit = {pair: 1 << i for i, pair in enumerate(combinations(range(n), 2))}
+        incidence = [sum(b for pair, b in bit.items() if v in pair) for v in range(n)]
+        pairs = [oracle._general_pair(ell, k) for ell in range(n + 1) for k in range(n)]
+
+        def level(deg, mask, ell, n=n, bit=bit):
+            if ell == 0:
+                return 0
+            return max(
+                (1 + min(deg[v] for v in sub) for sub in combinations(range(n), ell)
+                 if not any(mask & bit[pair] for pair in combinations(sub, 2))),
+                default=0,
+            )
+
+        yield len(bit), incidence, functools.partial(oracle._independent_level, n), level, pairs
+
+
+def test_scan_matches_per_mask_reference(monkeypatch):
+    default = oracle._CHUNK_BITS
+    for bits, incidence, witness, level, pairs in _kernel_cases():
+        best, count, first = _reference_scan(bits, incidence, level, pairs)
+        sweep = [[best.get((p, e), -1) for e in range(bits + 1)] for p in range(len(pairs))]
+        # at 2^5 masks a chunk, blocks split inside a popcount group
+        for chunk_bits in (default, 5):
+            monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+            case = bits, incidence, chunk_bits
+            table, no_count, no_first = oracle._scan(bits, incidence, witness, pairs)
+            assert table.tolist() == sweep and no_count is None and no_first is None, case
+            for m in range(bits + 1):
+                got = oracle._scan(bits, incidence, witness, pairs, m=m)
+                keys = [(p, m) for p in range(len(pairs))]
+                want = ([best.get(k, -1) for k in keys], [count.get(k, 0) for k in keys],
+                        [first.get(k, 0) for k in keys])
+                assert tuple(x.tolist() for x in got) == want, (*case, m)
 
 
 def test_predicted_branches():

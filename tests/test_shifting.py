@@ -191,8 +191,9 @@ def test_shift_log_replays_from_input():
         )
         edges = set(g.edges)
         for move, delta in log:
-            # a logged pair may name its larger vertex first
-            removed, added = tuple(sorted(move.removed)), tuple(sorted(move.added))
+            removed, added = move.removed, move.added
+            # logged pairs are sorted like the edges of a Graph
+            assert removed[0] < removed[1] and added[0] < added[1]
             assert removed in edges and added not in edges
             shared.add(len(set(removed) & set(added)))
             before = z1_index(Graph(n, edges))
