@@ -110,9 +110,15 @@ def _quasi_clique_layout(n: int, m: int) -> list:
 
 
 def _quasi_star_layout(n: int, m: int) -> list:
-    """Layout of the quasi-clique whose complement is the quasi-star."""
+    """Complement of the quasi-clique with C(n, 2) - m = C(a, 2) + b edges.
+
+    That is a clique on a+1..n-1, a join of 0..a to a+1..n-1, and a join
+    of b..a-1 to vertex a, which lies past n when a = n (m = 0).
+    """
     _check_edge_count(n, m)
-    return _quasi_clique_layout(n, comb(n, 2) - m)
+    a, b = triangular_decomposition(comb(n, 2) - m)
+    rest = range(a + 1, n)
+    return [(rest, rest), (range(a + 1), rest), (range(b, a), range(a, min(a + 1, n)))]
 
 
 def quasi_clique(n: int, m: int) -> Graph:
@@ -122,13 +128,12 @@ def quasi_clique(n: int, m: int) -> Graph:
 
 def quasi_star(n: int, m: int) -> Graph:
     """Complement of the quasi-clique with the complementary edge count."""
-    return _graph(n, comb(n, 2) - m, _quasi_star_layout(n, m)).complement()
+    return _graph(n, m, _quasi_star_layout(n, m))
 
 
 def quasi_star_classes(n: int, m: int) -> Counter:
     """Degree multiset of quasi_star(n, m), computed without its edges."""
-    classes = _degree_classes(n, _quasi_star_layout(n, m))
-    return Counter({n - 1 - degree: count for degree, count in classes.items()})
+    return _degree_classes(n, _quasi_star_layout(n, m))
 
 
 def ak_bipartite(r: int, s: int, m: int) -> BipartiteGraph:
@@ -303,7 +308,7 @@ def g2_family(n: int, m: int, ell: int, k: int) -> Graph:
     """
     a, b, blocks = _g2_layout(n, m, ell, k)
     # Unlike g2_classes, the generator refuses the remainder spill.  Which
-    # of the two is the paper's G2 is open (ROADMAP item 5).
+    # of the two is the paper's G2 is open (ROADMAP, "One G2").
     if b > a:
         raise ConstructionError(f"b={b} > a={a} would attach edges inside the witness")
     return _graph(n, m, blocks)

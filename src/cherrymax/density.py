@@ -21,7 +21,7 @@ has at most five distinct degrees), so convergence experiments run at any
 n without materializing edge sets.  The classes come from
 ``constructions``, which reads them off the same layout its generators
 build graphs from; this module only sums them.  The g2 classes keep the
-remainder spill that ``g2_family`` refuses (see ROADMAP item 5).
+remainder spill that ``g2_family`` refuses (see ROADMAP, "One G2").
 """
 
 from __future__ import annotations

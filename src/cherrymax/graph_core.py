@@ -92,15 +92,6 @@ class Graph:
             adj[v].add(u)
         return adj
 
-    def complement(self) -> "Graph":
-        missing = {
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if (u, v) not in self.edges
-        }
-        return Graph(self.n, missing)
-
 
 @dataclass(frozen=True)
 class BipartiteGraph:

@@ -7,7 +7,16 @@ Its effect on the Zagreb index has a closed form in the endpoint degrees
     disjoint pairs:     2*(d(x) + d(y) - d(u) - d(v)) + 4
     sharing one vertex: 2*(d(x) + d(y) - d(u) - d(v)) + 2
 
-Both shift loops below compute it inline and log it with every move.
+Both shift loops compute it inline and log it with every move.
+
+The shifted form is defined once, on boolean adjacency matrices, by the
+violation finder: _first_break finds the first row that is not a prefix,
+_outside_break the first outside-outside edge that does not dominate
+every pair below it, and _violation tries the witness rows, then the
+outside block.  The shift loops apply what it finds on the matrix
+permuted into the current ranking; is_shifted and is_shifted_general
+ask that it find nothing on the matrix in index order.
+
 left_compress_with_log pushes every left-vertex neighborhood of a
 bipartite graph into a prefix of the degree-sorted columns; swap_sides
 exchanges the roles of the two parts when the right side has the smaller
@@ -23,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph_core import BipartiteGraph, ConstraintWitness, Graph, z1_index
 
 
@@ -32,6 +43,77 @@ class SwapMove:
 
     removed: tuple[int, int]
     added: tuple[int, int]
+
+
+# ----------------------------------------------------------------------
+# the violation finder
+
+
+def _matrix(shape: tuple[int, int], pairs) -> np.ndarray:
+    """Boolean matrix that is True exactly at the given (row, column) pairs."""
+    rows, cols = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    out = np.zeros(shape, dtype=bool)
+    out[rows, cols] = True
+    return out
+
+
+def _adjacency(g: Graph) -> np.ndarray:
+    adj = _matrix((g.n, g.n), g.edges)
+    return adj | adj.T
+
+
+def _ranked(deg: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """vertices by descending degree, ties in the given (ascending) order."""
+    return vertices[np.argsort(-deg[vertices], kind="stable")]
+
+
+def _first_break(rows: np.ndarray) -> tuple[int, int, int] | None:
+    """(row, hole, src) for the first row that is not a prefix, else None.
+
+    hole is the row's first False and src the first True after it.
+    """
+    breaks = rows[:, 1:] & ~rows[:, :-1]
+    hit = breaks.any(axis=1)
+    if not hit.any():
+        return None
+    row = int(hit.argmax())
+    return row, int(rows[row].argmin()), int(breaks[row].argmax()) + 1
+
+
+def _outside_break(block: np.ndarray) -> tuple[int, int, int, int] | None:
+    """(i, j, p, q) for the first edge (i, j), i < j, of a symmetric block,
+    row by row, that dominates an absent pair (p, q): p <= i, p < q <= j.
+
+    With gap(p) the first absent q > p (len(block) if none), that is the
+    first edge with j >= min over p <= i of gap(p), and (p, q) is
+    (p*, gap(p*)) for the smallest p* <= i with gap(p*) <= j.
+    """
+    nv = len(block)
+    cols = np.arange(nv)
+    absent = ~block & (cols > cols[:, None])
+    gap = np.c_[absent, np.ones(nv, dtype=bool)].argmax(axis=1)
+    # the mirror (j, i) of an offending (i, j) with j < i offends too, and
+    # comes first, so the lower triangle need not be masked off
+    offending = block & (cols >= np.minimum.accumulate(gap)[:, None])
+    if not offending.any():
+        return None
+    i, j = divmod(int(offending.argmax()), nv)
+    p = int((gap[: i + 1] <= j).argmax())
+    return i, j, p, int(gap[p])
+
+
+def _violation(adj: np.ndarray, nw: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """First (edge, absent pair) swap that the shifted form forbids, in
+    positions of adj, whose first nw vertices are the witness."""
+    hit = _first_break(adj[:nw, nw:])
+    if hit is not None:
+        u, hole, src = hit
+        return (u, nw + src), (u, nw + hole)
+    hit = _outside_break(adj[nw:, nw:])
+    if hit is None:
+        return None
+    i, j, p, q = (nw + x for x in hit)
+    return (i, j), (p, q)
 
 
 # ----------------------------------------------------------------------
@@ -48,16 +130,11 @@ def _check_left_witness(b: BipartiteGraph, witness: ConstraintWitness) -> None:
         raise ValueError("witness vertex below the degree floor")
 
 
-
 def is_shifted(b: BipartiteGraph) -> bool:
     """Rows sorted by descending degree and every row a column prefix."""
-    rows: list[set[int]] = [set() for _ in range(b.r)]
-    for i, j in b.edges:
-        rows[i].add(j)
-    degs = [len(row) for row in rows]
-    if any(degs[i] < degs[i + 1] for i in range(b.r - 1)):
-        return False
-    return all(row == set(range(len(row))) for row in rows)
+    m = _matrix((b.r, b.s), b.edges)
+    deg = m.sum(axis=1)
+    return bool((deg[:-1] >= deg[1:]).all()) and _first_break(m) is None
 
 
 def left_compress_with_log(
@@ -79,44 +156,24 @@ def left_compress_with_log(
     Row degrees, and with them the witness, are untouched.
     """
     _check_left_witness(b, witness)
-    rows: list[set[int]] = [set() for _ in range(b.r)]
-    for i, j in b.edges:
-        rows[i].add(j)
-    coldeg = [0] * b.s
-    for _, j in b.edges:
-        coldeg[j] += 1
+    m = _matrix((b.r, b.s), b.edges)
     log: list[tuple[SwapMove, int]] = []
     while True:
-        col_order = sorted(range(b.s), key=lambda j: (-coldeg[j], j))
-        col_rank = {j: p for p, j in enumerate(col_order)}
-        found = None
-        for i in range(b.r):
-            ranks = {col_rank[j] for j in rows[i]}
-            if not ranks or len(ranks) == max(ranks) + 1:
-                continue
-            hole = next(p for p in range(b.s) if p not in ranks)
-            src = min(p for p in ranks if p > hole)
-            found = (i, col_order[src], col_order[hole])
-            break
+        coldeg = m.sum(axis=0)
+        col_order = _ranked(coldeg, np.arange(b.s))
+        found = _first_break(m[:, col_order])
         if found is None:
             break
-        i, src, hole = found
-        delta = 2 * (coldeg[hole] - coldeg[src]) + 2
+        i, hole, src = found
+        src, hole = int(col_order[src]), int(col_order[hole])
+        delta = 2 * int(coldeg[hole] - coldeg[src]) + 2
         if delta < 2:
             raise AssertionError("compression move failed to increase the Zagreb index")
-        rows[i].remove(src)
-        rows[i].add(hole)
-        coldeg[src] -= 1
-        coldeg[hole] += 1
+        m[i, src], m[i, hole] = False, True
         log.append((SwapMove((i, src), (i, hole)), delta))
 
-    rowdeg = [len(row) for row in rows]
-    row_order = sorted(range(b.r), key=lambda i: (-rowdeg[i], i))
-    col_order = sorted(range(b.s), key=lambda j: (-coldeg[j], j))
-    row_rank = {i: p for p, i in enumerate(row_order)}
-    col_rank = {j: p for p, j in enumerate(col_order)}
-    edges = {(row_rank[i], col_rank[j]) for i in range(b.r) for j in rows[i]}
-    out = BipartiteGraph(b.r, b.s, edges)
+    row_order = _ranked(m.sum(axis=1), np.arange(b.r))
+    out = BipartiteGraph(b.r, b.s, np.argwhere(m[np.ix_(row_order, col_order)]).tolist())
     if out.num_edges != b.num_edges:
         raise AssertionError("compression changed the edge count")
     if not is_shifted(out):
@@ -124,7 +181,7 @@ def left_compress_with_log(
     floor, count = witness.degree_floor, witness.target_size
     if sum(1 for d in out.left_degrees() if d >= floor) < count:
         raise AssertionError("compression lost the witness")
-    return out, log, row_order, col_order
+    return out, log, row_order.tolist(), col_order.tolist()
 
 
 def swap_sides(b: BipartiteGraph, witness: ConstraintWitness) -> BipartiteGraph:
@@ -173,17 +230,11 @@ def swap_sides(b: BipartiteGraph, witness: ConstraintWitness) -> BipartiteGraph:
         if t == 0:
             raise AssertionError("t = 0 contradicts delta_right < delta_left")
         bigt = coldeg[t]
-        edges = set(b.edges)
+        grid = _matrix((b.r, b.s), b.edges)
         for j in range(t):
-            for i in range(bigt, coldeg[j]):
-                edges.discard((i, j))
-            for i in range(bigt, rowdeg[j]):
-                edges.discard((j, i))
-            for i in range(bigt, rowdeg[j]):
-                edges.add((i, j))
-            for i in range(bigt, coldeg[j]):
-                edges.add((j, i))
-        out = BipartiteGraph(b.r, b.s, edges)
+            grid[bigt : coldeg[j], j] = grid[j, bigt : rowdeg[j]] = False
+            grid[bigt : rowdeg[j], j] = grid[j, bigt : coldeg[j]] = True
+        out = BipartiteGraph(b.r, b.s, np.argwhere(grid).tolist())
         nrow, ncol = out.left_degrees(), out.right_degrees()
         for i in range(t):
             if (nrow[i], ncol[i]) != (coldeg[i], rowdeg[i]):
@@ -226,69 +277,33 @@ def shift_general_with_log(
     (order[new] = old).
     """
     witness.check_in(g)
-    iset = set(witness.vertices)
     nw = len(witness.vertices)
-    adj = [set(nbrs) for nbrs in g.adjacency()]
-
-    def ranking() -> list[int]:
-        head = sorted(witness.vertices, key=lambda v: (-len(adj[v]), v))
-        tail = sorted(
-            (v for v in range(g.n) if v not in iset),
-            key=lambda v: (-len(adj[v]), v),
-        )
-        return head + tail
-
-    def find_move(order: list[int], rank: dict[int, int]):
-        for u in order[:nw]:
-            ranks = {rank[v] for v in adj[u]}
-            if not ranks:
-                continue
-            if max(ranks) - nw + 1 == len(ranks):
-                continue
-            hole = next(i for i in range(nw, g.n) if i not in ranks)
-            src = min(i for i in ranks if i > hole)
-            return (u, order[src]), (u, order[hole])
-        for i in range(nw, g.n):
-            for j in range(i + 1, g.n):
-                if order[j] not in adj[order[i]]:
-                    continue
-                for p in range(nw, i + 1):
-                    for q in range(p + 1, j + 1):
-                        if (p, q) != (i, j) and order[q] not in adj[order[p]]:
-                            return (order[i], order[j]), (order[p], order[q])
-        return None
+    adj = _adjacency(g)
+    head = np.array(witness.vertices, dtype=np.intp)
+    tail = np.setdiff1d(np.arange(g.n), head)
 
     log: list[tuple[SwapMove, int]] = []
     while True:
-        order = ranking()
-        rank = {v: i for i, v in enumerate(order)}
-        move = find_move(order, rank)
+        deg = adj.sum(axis=1)
+        order = np.concatenate([_ranked(deg, head), _ranked(deg, tail)])
+        move = _violation(adj[np.ix_(order, order)], nw)
         if move is None:
             break
-        (u, v), (x, y) = move
-        base = 2 * (len(adj[x]) + len(adj[y]) - len(adj[u]) - len(adj[v]))
-        delta = base + (2 if {u, v} & {x, y} else 4)
+        (u, v), (x, y) = ((int(order[a]), int(order[b])) for a, b in move)
+        delta = 2 * int(deg[x] + deg[y] - deg[u] - deg[v]) + (2 if {u, v} & {x, y} else 4)
         if delta < 2:
             raise AssertionError("shifting move failed to increase the Zagreb index")
-        adj[u].discard(v)
-        adj[v].discard(u)
-        adj[x].add(y)
-        adj[y].add(x)
+        adj[u, v] = adj[v, u] = False
+        adj[x, y] = adj[y, x] = True
         log.append((SwapMove((min(u, v), max(u, v)), (min(x, y), max(x, y))), delta))
 
-    order = ranking()
-    rank = {v: i for i, v in enumerate(order)}
-    edges = {(rank[u], rank[v]) for u in range(g.n) for v in adj[u] if rank[u] < rank[v]}
-    out = Graph(g.n, edges)
+    out = Graph(g.n, np.argwhere(np.triu(adj[np.ix_(order, order)], 1)).tolist())
     if out.num_edges != g.num_edges:
         raise AssertionError("shifting changed the edge count")
     if not is_shifted_general(out, nw):
         raise AssertionError("fixed point fails the shifted-form check")
-    new_witness = ConstraintWitness(
-        tuple(range(nw)), witness.target_size, witness.degree_floor
-    )
-    new_witness.check_in(out)
-    return out, log, order
+    ConstraintWitness(tuple(range(nw)), witness.target_size, witness.degree_floor).check_in(out)
+    return out, log, order.tolist()
 
 
 def is_shifted_general(g: Graph, witness_size: int) -> bool:
@@ -298,23 +313,8 @@ def is_shifted_general(g: Graph, witness_size: int) -> bool:
     witness neighborhood is a prefix of the outside block, and every
     outside-outside edge dominates all pairs below it.
     """
-    nw = witness_size
-    adj = g.adjacency()
-    for u in range(nw):
-        nbrs = adj[u]
-        if any(v < nw for v in nbrs):
-            return False
-        if nbrs and max(nbrs) - nw + 1 != len(nbrs):
-            return False
-    for i in range(nw, g.n):
-        for j in range(i + 1, g.n):
-            if j not in adj[i]:
-                continue
-            for p in range(nw, i + 1):
-                for q in range(p + 1, j + 1):
-                    if q not in adj[p]:
-                        return False
-    return True
+    adj = _adjacency(g)
+    return not adj[:witness_size, :witness_size].any() and _violation(adj, witness_size) is None
 
 
 @dataclass(frozen=True)
@@ -337,19 +337,11 @@ def analyze_omega(g: Graph, witness: ConstraintWitness) -> ShiftAnalysis:
     nw = len(witness.vertices)
     if not is_shifted_general(g, nw):
         raise ValueError("analyze_omega requires a shifted graph")
-    nv = g.n - nw
-    omega = 1 if nv > 0 else 0
-    for i in range(2, nv + 1):
-        if g.has_edge(nw + i - 2, nw + i - 1):
-            omega = i
-    clique = tuple(range(nw, nw + omega))
-    indep = tuple(range(nw + omega, g.n))
-    for a in range(len(clique)):
-        for bb in range(a + 1, len(clique)):
-            if not g.has_edge(clique[a], clique[bb]):
-                raise ValueError("clique block is not complete; input not shifted")
-    for a in range(len(indep)):
-        for bb in range(a + 1, len(indep)):
-            if g.has_edge(indep[a], indep[bb]):
-                raise ValueError("independent block has an edge; input not shifted")
-    return ShiftAnalysis(omega, clique, indep)
+    outside = _adjacency(g)[nw:, nw:]
+    chain = np.flatnonzero(np.diagonal(outside, 1))
+    omega = int(chain[-1]) + 2 if chain.size else min(1, len(outside))
+    if outside[:omega, :omega].sum() != omega * (omega - 1):
+        raise ValueError("clique block is not complete; input not shifted")
+    if outside[omega:, omega:].any():
+        raise ValueError("independent block has an edge; input not shifted")
+    return ShiftAnalysis(omega, tuple(range(nw, nw + omega)), tuple(range(nw + omega, g.n)))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -106,6 +107,38 @@ def test_shift_general(tmp_path, capsys):
         move["delta"] for move in payload["moves"]
     )
     assert "omega" in payload and len(payload["vertex_order"]) == 5
+
+
+@pytest.mark.parametrize("mode", ["general", "bipartite"])
+def test_shift_prints_plain_json(tmp_path, capsys, mode):
+    """Every logged label, delta and order entry is a JSON integer, on an
+    input that takes many moves."""
+    rng = random.Random(12)
+    if mode == "general":
+        pairs = [[u, v] for u in range(12) for v in range(max(u + 1, 2), 12)]
+        graph = {"n": 12, "edges": [e for e in pairs if rng.random() < 0.5]}
+        argv = ("--witness", "0,1", "--degree-floor", "0")
+    else:
+        cells = [[i, j] for i in range(8) for j in range(8)]
+        graph = {"r": 8, "s": 8, "edges": [e for e in cells if rng.random() < 0.5]}
+        argv = ()
+    path = write_graph(tmp_path, "g.json", graph)
+    code, out, _ = run_cli(capsys, "shift", "--input", path, "--mode", mode, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["moves"]) >= 5
+    orders = [v for key in ("vertex_order", "row_order", "col_order") for v in payload.get(key, [])]
+    numbers = [x for move in payload["moves"]
+               for x in (*move["removed"], *move["added"], move["delta"])]
+    assert orders and all(type(x) is int for x in orders + numbers)
+
+
+def test_construct_large_quasi_star(capsys):
+    """Five edges on 2000 vertices, built without touching the C(n, 2) pairs."""
+    code, out, _ = run_cli(capsys, "construct", "quasi-star", "--n", "2000", "--m", "5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == 2000 and len(payload["edges"]) == 5
 
 
 def test_maximize_matches_library(capsys):

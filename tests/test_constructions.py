@@ -89,14 +89,16 @@ def test_quasi_star_examples():
 
 
 def test_complement_duality():
-    """quasi_star(n, m) is the exact complement of quasi_clique(n, C(n,2)-m)."""
-    for n in range(1, 9):
+    """quasi_star(n, m) is the exact complement of quasi_clique(n, C(n,2)-m),
+    and quasi_star_classes is its degree multiset."""
+    for n in range(1, 14):
         total = comb(n, 2)
         all_pairs = {(u, v) for u in range(n) for v in range(u + 1, n)}
         for m in range(total + 1):
             qs = quasi_star(n, m)
             qc = quasi_clique(n, total - m)
             assert qs.edges == frozenset(all_pairs - qc.edges)
+            assert quasi_star_classes(n, m) == Counter(qs.degrees())
 
 
 def test_edge_counts_everywhere():
