@@ -230,6 +230,12 @@ def _cmd_shift(args) -> int:
             f"--mode {args.mode} does not match the "
             f"{'bipartite' if is_bipartite else 'general'} input graph"
         )
+    # the moves run on boolean adjacency matrices, refused before any is built
+    cells = g.r * g.s if is_bipartite else g.n * g.n
+    if cells > 1 << args.cap:
+        raise SearchCapExceededError(
+            f"shift of {cells} matrix cells exceeds the cap of 2^{args.cap}"
+        )
     vertices = _parse_witness(args.witness)
     witness = ConstraintWitness(vertices, len(vertices), args.degree_floor)
     before = z1_index(g)
@@ -404,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap", type=int, default=None,
         help="log2 of the largest search space: masks, shifted-mode table cells,"
-        " density --scan grid points, or verify-appendix grid nodes, (steps+1)^3",
+        " shift matrix cells, density --scan grid points, or verify-appendix grid"
+        " nodes, (steps+1)^3",
     )
     common.add_argument("--config", help=f"key=value config file (also {CONFIG_ENV})")
 

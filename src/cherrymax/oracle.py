@@ -12,7 +12,19 @@ block of low halves is one int16 matrix product of the halves' tables;
 it is exact, since every partial sum is an integer of at most
 2 * 64 * 64.  A query at one edge count m joins the high halves of
 popcount j only to the low halves of popcount m - j, so it makes only the
-C(bits, m) masks with m edges.
+masks with m edges.
+
+Bipartite searches make one mask per row orbit.  Z1 and both bipartite
+witnesses depend only on the multiset of rows: permuting the rows of an
+r x s graph permutes its row degrees and keeps its column degrees.  So the
+kernel makes only the row-sorted representative of each orbit, whose row
+values never increase with the row index; row r-1 holds the top bits, so
+it is the smallest mask of its orbit.  There are C(2^s + r - 1, r) of them
+against 2^(r*s) masks.  A representative whose row values occur mu times
+each stands for r!/prod(mu!) masks, and counts that many towards the number
+of optimal graphs.  The smallest optimal representative is the smallest
+optimal mask, so reports do not change.
+
 Bipartite queries in shifted mode instead maximize over Ferrers diagrams
 with an exact dynamic program over column heights, ``_shifted_optimum``,
 which reports the optimum with the lexicographically largest heights.
@@ -68,7 +80,9 @@ _CHUNK_BITS = 18
 # mask, and Z1 = zA[h] + zB[l] + 2 * sum_v A[v, h] * B[v, l] with
 # zA = sum_v A^2 and zB = sum_v B^2.  _Half keeps those tables as one
 # matrix per half, so the Z1 of every mask in a block of high halves
-# joined to a block of low halves is one matrix product.
+# joined to a block of low halves is one matrix product.  The halves come
+# from one of two sources: every mask, or for bipartite graphs the
+# row-sorted masks, split between whole rows (see _scan).
 #
 # A witness is a function witness(chunk, floor) that gives every mask of a
 # _Chunk a small level at a floor; it reads chunk.deg (one row of degrees
@@ -159,38 +173,106 @@ class _Chunk:
             high.masks[:, None] << shift, low.masks, out=out))
 
 
-def _chunks(bits, low_bits, lows, m):
-    """Lists of (high halves, slice of lows) joins, about 2^_CHUNK_BITS
-    masks per list.  ``lows`` ascend by popcount.  Without m every high
-    half joins every low half; with m, high halves of popcount j join only
-    the low halves of popcount m - j, so only masks with m edges are made.
-    High halves are grouped 2^_CHUNK_BITS at a time, so memory stays flat
-    however many there are."""
+def _row_sorted(count, s, first):
+    """Masks of count >= 1 rows of s cells, row i in bits i*s to i*s + s - 1,
+    whose row values never increase with the row index, for each value of
+    row 0 in ``first``, in the order of ``first``."""
+    masks = last = np.asarray(first, dtype=np.uint64)
+    for i in range(1, count):
+        # row i takes every value from 0 to row i - 1's
+        width = (last + np.uint64(1)).astype(np.int64)
+        at = np.repeat(np.cumsum(width) - width, width)
+        value = (np.arange(at.size) - at).astype(np.uint64)
+        masks = np.repeat(masks, width) | value << np.uint64(i * s)
+        last = value
+    return masks
+
+
+def _row_orbits(count, s, top):
+    """Blocks of the masks of ``count`` rows of s cells whose row values
+    never increase with the row index and never exceed ``top``: each such
+    mask is the smallest of its orbit under row permutations.
+
+    A block holds a run of row 0 values with at most 2^_CHUNK_BITS masks in
+    all.  Where one row 0 value alone has more, the other rows are split the
+    same way, so memory stays flat however many masks there are."""
+    if count == 0:
+        yield np.zeros(1, dtype=np.uint64)
+        return
     budget = 1 << _CHUNK_BITS
-    highs = 1 << (bits - low_bits)
-    starts = np.searchsorted(lows.edges, np.arange(low_bits + 2))
-    chunk, size = [], 0
-    for start in range(0, highs, budget):
-        block = np.arange(start, min(start + budget, highs), dtype=np.uint64)
-        if m is None:
-            groups = [(block, slice(0, 1 << low_bits))]
+    lo = 0
+    while lo <= top:
+        # comb(v + count, count) masks have row 0 <= v; take the longest run
+        # of row 0 values from lo that fits the budget
+        below, fits, over = comb(lo + count - 1, count), lo - 1, top + 1
+        while over - fits > 1:
+            mid = (fits + over) // 2
+            if comb(mid + count, count) - below <= budget:
+                fits = mid
+            else:
+                over = mid
+        if fits < lo:
+            for rest in _row_orbits(count - 1, s, lo):
+                yield np.uint64(lo) | rest << np.uint64(s)
+            lo += 1
         else:
-            edges = np.bitwise_count(block)
-            groups = [
-                (block[edges == j], slice(starts[m - j], starts[m - j + 1]))
-                for j in range(max(0, m - low_bits), min(m, bits - low_bits) + 1)
-            ]
-        for group, part in groups:
-            width, at = part.stop - part.start, 0
-            while at < group.size:
-                # width <= 2^low_bits <= budget, so an empty chunk has room
+            yield _row_sorted(count, s, np.arange(lo, fits + 1, dtype=np.uint64))
+            lo = fits + 1
+
+
+def _orbit_sizes(masks, rows, s):
+    """r!/prod(mu!) for each row-sorted mask of r = ``rows`` rows of s cells,
+    with mu the multiplicities of its row values: how many masks its orbit
+    under row permutations holds.  Built up one row at a time, every
+    intermediate value is the orbit size of a prefix, so none overflows."""
+    cells = np.uint64((1 << s) - 1)
+    size, run = np.ones(masks.size, dtype=np.int64), np.ones(masks.size, dtype=np.int64)
+    last = masks & cells
+    for i in range(1, rows):
+        row = masks >> np.uint64(i * s) & cells
+        # equal values are adjacent in a sorted mask; run is row i's count so far
+        run = np.where(row == last, run + 1, 1)
+        common = np.gcd(run, i + 1)
+        size = size // (run // common) * ((i + 1) // common)
+        last = row
+    return size
+
+
+def _chunks(highs, keys, span, m):
+    """Lists of (high halves, slice of lows) joins, about 2^_CHUNK_BITS
+    masks per list, from ``highs``, blocks of high halves.
+
+    ``keys`` ascend, one per low half: e * span + top, where e is the low
+    half's popcount with m and 0 without, and top its top row's value (0
+    for plain masks, where span is 1).  A high half h whose bottom row holds
+    v = h mod span joins the lows with keys in [e * span + v, (e + 1) * span),
+    e = m - popcount(h) with m and 0 without.  Plain masks thus join every
+    low half, or with m only those of popcount m - popcount(h), so only
+    masks with m edges are made; row-sorted halves join only the low halves
+    whose top row is at least v, so every join is row-sorted too.  High
+    halves of one e and v form one join, split across lists where a list
+    fills up."""
+    budget = 1 << _CHUNK_BITS
+    chunk, size = [], 0
+    for block in highs:
+        key = (block & np.uint64(span - 1)).astype(np.int64)
+        if m is not None:
+            key += (m - np.bitwise_count(block).astype(np.int64)) * span
+        order = np.argsort(key, kind="stable")
+        block, key = block[order], key[order]
+        cuts = np.flatnonzero(np.diff(key)) + 1
+        for group, k in zip(np.split(block, cuts), key[np.r_[0, cuts]].tolist()):
+            start, stop = np.searchsorted(keys, [k, (k // span + 1) * span]).tolist()
+            width, at = stop - start, 0
+            while width and at < group.size:
+                # width <= len(keys) <= budget, so an empty chunk has room
                 room = (budget - size) // width
                 if not room:
                     yield chunk
                     chunk, size = [], 0
                     continue
                 take = min(group.size - at, room)
-                chunk.append((group[at:at + take], part))
+                chunk.append((group[at:at + take], slice(start, stop)))
                 size, at = size + take * width, at + take
     if chunk:
         yield chunk
@@ -214,7 +296,7 @@ def _merge(acc, new):
     return best, count, first
 
 
-def _best_at_m(chunk, levels, pairs):
+def _best_at_m(chunk, levels, pairs, weigh):
     best = np.full(len(pairs), -1, dtype=np.int64)
     count = np.zeros(len(pairs), dtype=np.int64)
     first = np.zeros(len(pairs), dtype=np.uint64)
@@ -222,10 +304,10 @@ def _best_at_m(chunk, levels, pairs):
         z = np.where(levels[floor] >= need, chunk.z1, -1)
         best[p] = z.max()
         if best[p] >= 0:
-            at = z == best[p]
-            count[p] = np.count_nonzero(at)
+            optimal = chunk.masks[z == best[p]]
+            count[p] = weigh(optimal).sum()
             # masks do not ascend within a chunk, so take the smallest optimum
-            first[p] = chunk.masks[at].min()
+            first[p] = optimal.min()
     return best, count, first
 
 
@@ -242,46 +324,82 @@ def _best_per_edge_count(edges, z1, levels, pairs, bits, width):
 
 
 def _scan_chunk(task):
-    joins, lows, low_bits, high_incidence, witness, pairs, m, bits = task
-    chunk = _Chunk([(_Half.of(block, high_incidence, True), lows[part]) for block, part in joins],
-                   low_bits)
+    joins, lows, low_bits, high_incidence, witness, pairs, m, bits, rows = task
+    # one table for all the chunk's high halves, sliced per join
+    highs = _Half.of(np.concatenate([block for block, _ in joins]), high_incidence, True)
+    ends = np.cumsum([block.size for block, _ in joins]).tolist()
+    chunk = _Chunk([(highs[end - block.size:end], lows[part])
+                    for (block, part), end in zip(joins, ends)], low_bits)
     levels = {floor: witness(chunk, floor) for floor in dict.fromkeys(f for f, _ in pairs)}
     if m is not None:
-        return _best_at_m(chunk, levels, pairs)
+        if rows is None:
+            return _best_at_m(chunk, levels, pairs, np.ones_like)
+        return _best_at_m(chunk, levels, pairs, partial(_orbit_sizes, rows=rows, s=bits // rows))
     width = len(high_incidence) + 1
     return _best_per_edge_count(chunk.edges, chunk.z1, levels, pairs, bits, width), None, None
 
 
-def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CAP):
+def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CAP, rows=None):
     """Best Zagreb index over all 2^bits edge masks, for each witness pair.
 
     ``incidence`` holds one mask per vertex; a vertex's degree in a graph
     is the popcount of the graph's mask against it.  Each mask is split
-    into a high half and its low min(bits // 2, _CHUNK_BITS) bits.  The
-    degree table, edge counts and Z1 factor of every low half are built
-    once per search, those of the high halves once per chunk (see _Half),
-    and a chunk joins blocks of high halves to the low halves, about
-    2^_CHUNK_BITS masks in all.  With m, high halves of popcount j are
-    joined only to low halves of popcount m - j, so exactly the C(bits, m)
-    masks with m edges are made.  Chunks are made and merged one at a
-    time, so memory stays flat as bits grows; with jobs > 1 they run over
-    min(jobs, chunks) worker processes, and in process when there is one.
+    into a high half and a low half.  The degree table, edge counts and Z1
+    factor of every low half are built once per search, those of the high
+    halves once per chunk (see _Half), and a chunk joins blocks of high
+    halves to slices of the low halves, about 2^_CHUNK_BITS masks in all
+    (see _chunks).  With m, high halves of popcount j are joined only to
+    low halves of popcount m - j, so only masks with m edges are made.
+    Chunks are made and merged one at a time, so memory stays flat as bits
+    grows; with jobs > 1 they run over min(jobs, chunks) worker processes,
+    and in process when there is one.
+
+    Plain masks are split at their low min(bits // 2, _CHUNK_BITS) bits,
+    and every mask is made.  With ``rows`` the masks are those of an
+    r x s bipartite graph, r = rows, with row i in bits i*s to i*s + s - 1
+    and the witness a function of the row and column degrees.  Permuting
+    the rows changes neither Z1 nor the column degrees nor the multiset of
+    row degrees, so Z1 and the witness are constant on every orbit of
+    masks under row permutations.  The orbit's smallest mask is its
+    row-sorted representative, whose row values never increase with the
+    row index, and only those are made: C(2^s + r - 1, r) of them.  The
+    low half holds t whole rows, t = r // 2 lowered until there are at
+    most 2^_CHUNK_BITS row-sorted low halves, and a high half whose bottom
+    row holds v joins only the low halves whose top row is at least v.  A
+    representative with row value multiplicities mu stands for r!/prod(mu!)
+    masks, which weighs its count.
 
     Without m the result is (table, None, None): table[p, e] is the best
     Z1 over masks with e edges that satisfy pairs[p], or -1.  With m the
     result is (best, count, first) per pair: the best Z1 or -1, how many
-    masks reach it, and the smallest of those masks.
+    masks reach it, and the smallest of those masks.  Each orbit's masks
+    all reach the same Z1, so the smallest optimal representative is the
+    smallest optimal mask.
     """
     _check_bits(bits, cap)
-    low_bits = min(bits // 2, _CHUNK_BITS)
-    lows = np.arange(1 << low_bits, dtype=np.uint64)
-    lows = lows[np.argsort(np.bitwise_count(lows), kind="stable")]
-    lows = _Half.of(lows, [vertex & ((1 << low_bits) - 1) for vertex in incidence], False)
+    if rows is None:
+        low_bits, span = min(bits // 2, _CHUNK_BITS), 1
+        lows = np.arange(1 << low_bits, dtype=np.uint64)
+        tops = np.zeros(lows.size, dtype=np.int64)
+        step, total = 1 << _CHUNK_BITS, 1 << (bits - low_bits)
+        highs = (np.arange(at, min(at + step, total), dtype=np.uint64)
+                 for at in range(0, total, step))
+    else:
+        s = bits // rows
+        t = max(t for t in range(rows // 2 + 1) if comb((1 << s) + t - 1, t) <= 1 << _CHUNK_BITS)
+        low_bits, span = s * t, 1 << s if t else 1
+        # at most 2^_CHUNK_BITS masks, so one block
+        lows = next(_row_orbits(t, s, (1 << s) - 1))
+        tops = (lows >> np.uint64(low_bits - s) if t else lows).astype(np.int64)
+        highs = _row_orbits(rows - t, s, (1 << s) - 1)
+    keys = tops + (np.bitwise_count(lows).astype(np.int64) * span if m is not None else 0)
+    order = np.argsort(keys, kind="stable")
+    lows = _Half.of(lows[order], [vertex & ((1 << low_bits) - 1) for vertex in incidence], False)
     high_incidence = [vertex >> low_bits for vertex in incidence]
-    chunks = _chunks(bits, low_bits, lows, m)
+    chunks = _chunks(highs, keys[order], span, m)
     head = list(islice(chunks, jobs))
     tasks = (
-        (joins, lows, low_bits, high_incidence, witness, pairs, m, bits)
+        (joins, lows, low_bits, high_incidence, witness, pairs, m, bits, rows)
         for joins in chain(head, chunks)
     )
     if len(head) > 1:
@@ -450,7 +568,7 @@ def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
     elif mode == "full":
         (best,), (count,), (first,) = _scan(
             r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
-            [_floor_need(side, ell, k)], m=m, jobs=jobs, cap=cap,
+            [_floor_need(side, ell, k)], m=m, jobs=jobs, cap=cap, rows=r,
         )
         if best < 0:
             raise ConstructionError("no graph satisfies the constraints")
@@ -636,7 +754,9 @@ def verify_theorem_16(max_cells: int = 20, *, cap: int = DEFAULT_BIT_CAP) -> lis
     """Unconstrained bipartite graphs: column filling is extremal."""
     rows = []
     for r, s in _wide_pairs(max_cells):
-        (best,), _, _ = _scan(r * s, _bipartite_incidence(r, s), _unconstrained, [(0, 0)], cap=cap)
+        (best,), _, _ = _scan(
+            r * s, _bipartite_incidence(r, s), _unconstrained, [(0, 0)], cap=cap, rows=r
+        )
         for m, oracle_z1 in enumerate(best.tolist()):
             predicted = z1_index(ak_bipartite(r, s, m))
             rows.append(
@@ -658,7 +778,7 @@ def _verify_constrained(max_cells: int, side: str, cap: int) -> list[dict]:
         cases = [(ell, k) for k in range(s + 1) for ell in range(k, r + 1)]
         table, _, _ = _scan(
             r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
-            [_floor_need(side, ell, k) for ell, k in cases], cap=cap,
+            [_floor_need(side, ell, k) for ell, k in cases], cap=cap, rows=r,
         )
         for (ell, k), best in zip(cases, table.tolist()):
             for m in range(k * ell, r * s + 1):

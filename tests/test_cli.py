@@ -133,6 +133,24 @@ def test_shift_prints_plain_json(tmp_path, capsys, mode):
     assert orders and all(type(x) is int for x in orders + numbers)
 
 
+@pytest.mark.parametrize(
+    "shape, argv", [({"n": 5000}, ("--witness", "2")), ({"r": 5000, "s": 4000}, ())]
+)
+def test_shift_refuses_oversized_inputs(tmp_path, capsys, shape, argv):
+    """More than 2^cap matrix cells (n * n, or r * s) exit 2 before any
+    matrix is built; 32 x 32 cells are 2^10."""
+    path = write_graph(tmp_path, "big.json", {**shape, "edges": []})
+    code, out, err = run_cli(capsys, "shift", "--input", path, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2^24" in err and "Traceback" not in err
+    small = {key: 32 for key in shape}
+    path = write_graph(tmp_path, "small.json", {**small, "edges": []})
+    code, out, err = run_cli(capsys, "shift", "--input", path, *argv, "--cap", "9")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, _ = run_cli(capsys, "shift", "--input", path, *argv, "--cap", "10")
+    assert code == 0 and json.loads(out)["moves"] == []
+
+
 def test_construct_large_quasi_star(capsys):
     """Five edges on 2000 vertices, built without touching the C(n, 2) pairs."""
     code, out, _ = run_cli(capsys, "construct", "quasi-star", "--n", "2000", "--m", "5")

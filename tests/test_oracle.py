@@ -178,14 +178,14 @@ def test_shifted_mode_past_the_bitmask_cap():
 
 
 def test_jobs_do_not_change_the_report(monkeypatch):
-    # 16 and 15 bits fit in one default chunk; with 2^10-mask chunks the
-    # same query is merged from many chunks, serially and over a Pool
+    # both queries fit in one default chunk; with 2^6-mask chunks the same
+    # query is merged from many chunks, serially and over a Pool
     queries = (
         lambda jobs: phi_bipartite(4, 4, 2, 2, 9, jobs=jobs),
         lambda jobs: max_cherries_general(6, 7, 2, 2, jobs=jobs),
     )
     lone = [query(1).to_json() for query in queries]
-    monkeypatch.setattr(oracle, "_CHUNK_BITS", 10)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 6)
     for query, want in zip(queries, lone):
         assert query(1).to_json() == want
         assert query(3).to_json() == want
@@ -210,14 +210,14 @@ def test_jobs_start_no_more_workers_than_chunks(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(oracle, "Pool", InlinePool)
-    monkeypatch.setattr(oracle, "_CHUNK_BITS", 10)
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 6)
     want = phi_bipartite(4, 4, 2, 2, 5).to_json()
-    # the C(16, 5) = 4368 masks with 5 edges fill 5 chunks of at most 2^10
+    # the 272 row-sorted 4 x 4 masks with 5 edges fill 5 chunks of at most 2^6
     for jobs in (64, 4, 2):
         assert phi_bipartite(4, 4, 2, 2, 5, jobs=jobs).to_json() == want
     assert sizes == [5, 4, 2]
-    # C(12, 6) = 924 masks are one chunk, which runs in process
-    assert phi_bipartite(4, 3, 2, 2, 6, jobs=64).to_json() == phi_bipartite(4, 3, 2, 2, 6).to_json()
+    # the 42 row-sorted 4 x 3 masks with 4 edges are one chunk, which runs in process
+    assert phi_bipartite(4, 3, 2, 2, 4, jobs=64).to_json() == phi_bipartite(4, 3, 2, 2, 4).to_json()
     assert sizes == [5, 4, 2]
 
 
@@ -251,21 +251,27 @@ def _reference_scan(bits, incidence, level, pairs):
     return best, count, first
 
 
+def _bipartite_cases(r, s):
+    """(kernel witness, reference level, pairs) on r x s graphs: no
+    witness, then either side's witness over all pairs."""
+    yield oracle._unconstrained, lambda deg, mask, floor: 0, [(0, 0)]
+    for side in ("left", "right"):
+        pairs = [oracle._floor_need(side, ell, k) for k in range(s + 1) for ell in range(r + 1)]
+
+        def level(deg, mask, floor, side=side):
+            return sum(d >= floor for d in (deg[:r] if side == "left" else deg[r:]))
+
+        yield functools.partial(oracle._bipartite_level, r, side), level, pairs
+
+
 def _kernel_cases():
     """(bits, incidence, kernel witness, reference level, pairs) for
     every bit count 0..14 on bipartite shapes, plus general graphs."""
     shapes = ((1, 0), (1, 1), (2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1),
               (4, 2), (3, 3), (5, 2), (11, 1), (4, 3), (13, 1), (7, 2))
     for r, s in shapes:
-        incidence = oracle._bipartite_incidence(r, s)
-        yield r * s, incidence, oracle._unconstrained, lambda deg, mask, floor: 0, [(0, 0)]
-        for side in ("left", "right"):
-            pairs = [oracle._floor_need(side, ell, k) for k in range(s + 1) for ell in range(r + 1)]
-
-            def level(deg, mask, floor, side=side, r=r):
-                return sum(d >= floor for d in (deg[:r] if side == "left" else deg[r:]))
-
-            yield r * s, incidence, functools.partial(oracle._bipartite_level, r, side), level, pairs
+        for witness, level, pairs in _bipartite_cases(r, s):
+            yield r * s, oracle._bipartite_incidence(r, s), witness, level, pairs
     for n in range(1, 6):
         bit = {pair: 1 << i for i, pair in enumerate(combinations(range(n), 2))}
         incidence = [sum(b for pair, b in bit.items() if v in pair) for v in range(n)]
@@ -300,6 +306,58 @@ def test_scan_matches_per_mask_reference(monkeypatch):
                 want = ([best.get(k, -1) for k in keys], [count.get(k, 0) for k in keys],
                         [first.get(k, 0) for k in keys])
                 assert tuple(x.tolist() for x in got) == want, (*case, m)
+
+
+def _orbit_splits(record):
+    """Whether some chunk boundary cuts a join, and whether some cut join
+    holds masks whose rows on both sides of the split are equal; ``record``
+    holds (chunks, keys, span) per search, as _scan passes them."""
+    cut = cut_equal = False
+    for chunks, keys, span in record:
+        for before, after in zip(chunks, chunks[1:]):
+            (high, part), (next_high, next_part) = before[-1], after[0]
+            v = int(high[0]) % span
+            if part == next_part and v == int(next_high[0]) % span:
+                cut = True
+                # the lows of a join ascend by top row, so its first is the lowest
+                cut_equal |= span > 1 and int(keys[part.start]) % span == v
+    return cut, cut_equal
+
+
+def test_orbit_scan_matches_per_mask_reference(monkeypatch):
+    """The row-orbit source (``rows``) against every mask of every r x s
+    shape with r * s <= 14: sweeps and single-m queries, without a
+    witness and with either side's witness over all pairs."""
+    shapes = [(r, s) for s in range(15) for r in range(1, 15) if r * s <= 14 and (s or r <= 3)]
+    default, chunks = oracle._CHUNK_BITS, oracle._chunks
+    record = []
+
+    def recorded(highs, keys, span, m):
+        made = list(chunks(highs, keys, span, m))
+        if m is not None:
+            record.append((made, keys, span))
+        return iter(made)
+
+    monkeypatch.setattr(oracle, "_chunks", recorded)
+    for r, s in shapes:
+        bits, incidence = r * s, oracle._bipartite_incidence(r, s)
+        for witness, level, pairs in _bipartite_cases(r, s):
+            best, count, first = _reference_scan(bits, incidence, level, pairs)
+            sweep = [[best.get((p, e), -1) for e in range(bits + 1)] for p in range(len(pairs))]
+            # at 2^5 masks a chunk, joins split inside popcount groups
+            for chunk_bits in (default, 5):
+                monkeypatch.setattr(oracle, "_CHUNK_BITS", chunk_bits)
+                case = r, s, pairs, chunk_bits
+                table, no_count, no_first = oracle._scan(bits, incidence, witness, pairs, rows=r)
+                assert table.tolist() == sweep and no_count is None and no_first is None, case
+                for m in range(bits + 1):
+                    got = oracle._scan(bits, incidence, witness, pairs, m=m, rows=r)
+                    keys = [(p, m) for p in range(len(pairs))]
+                    want = ([best.get(k, -1) for k in keys], [count.get(k, 0) for k in keys],
+                            [first.get(k, 0) for k in keys])
+                    assert tuple(x.tolist() for x in got) == want, (*case, m)
+    # the small chunks cut joins, also where rows across the split are equal
+    assert _orbit_splits(record) == (True, True)
 
 
 def test_predicted_branches():
