@@ -113,8 +113,9 @@ class _Half:
     The factors and the product are int16, which holds any Z1 of a uint64
     mask: Z1 <= 2 * edges * max degree <= 2 * 64 * 64, and every term and
     partial sum of the product is a nonnegative integer no larger.  The
-    product is an einsum rather than a BLAS call, whose thread pool can
-    spin for many times the product's own cost in a short-lived process."""
+    product is an einsum.  An int16 product never reaches BLAS, which has
+    only floating-point kernels, and the package's __init__ pins BLAS's
+    thread pool to one thread in any case."""
 
     masks: np.ndarray
     deg: np.ndarray
