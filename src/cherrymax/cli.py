@@ -20,7 +20,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import density, oracle, shifting
+from . import oracle, shifting
 from .constructions import (
     BipartiteFamilyParams,
     ak_bipartite,
@@ -103,15 +103,17 @@ def _resolve_options(args: argparse.Namespace, default_format: str) -> None:
 def _emit(args: argparse.Namespace, payload) -> None:
     """Write a JSON object, or rows as JSON or CSV, to --output or stdout.
 
-    Rows are written one at a time as they are read, so a ScanGrid is
-    never held whole.  The bytes equal json.dumps(rows, indent=2) and
-    csv.DictWriter's output, with None as "".
+    Rows are written one at a time as they are read, so a density scan
+    grid, known by its csv_chunks method, is never held whole.  The bytes
+    equal json.dumps(rows, indent=2) and csv.DictWriter's output, with None
+    as "".
     """
+    grid = hasattr(payload, "csv_chunks")
     sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with sink as out:
         if args.format == "json" and isinstance(payload, dict):
             out.write(json.dumps(payload, indent=2) + "\n")
-        elif args.format == "json" and isinstance(payload, density.ScanGrid):
+        elif args.format == "json" and grid:
             out.writelines(payload.json_chunks())
             out.write("\n")
         elif args.format == "json":
@@ -122,7 +124,7 @@ def _emit(args: argparse.Namespace, payload) -> None:
                 out.write(sep + encode(row).replace("\n", "\n  "))
                 sep = ",\n  "
             out.write("[]\n" if sep == "[\n  " else "\n]\n")
-        elif isinstance(payload, density.ScanGrid):
+        elif grid:
             out.writelines(payload.csv_chunks())
         else:
             rows = [payload] if isinstance(payload, dict) else payload
@@ -338,6 +340,9 @@ def _kv_map(tokens: list[str], allowed: set[str], usage: str) -> dict:
 
 
 def _cmd_density(args) -> int:
+    # imported here, as appendix is, so that the other commands do not load it
+    from . import density
+
     if args.scan is not None:
         usage = "cherrymax density --scan rho=0.68:0.70:0.005 alpha=0.2 beta=0.2"
         kv = _kv_map(args.scan, {"rho", "alpha", "beta"}, usage)

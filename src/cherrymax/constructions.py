@@ -19,11 +19,14 @@ would overlap for extreme parameters) are hard errors with a diagnostic,
 because the asymptotic regime the formulas target never hits them but
 small-n tests can.
 
-The general families (quasi-clique/quasi-star, G1, G2) are each defined
-once, as a layout of cliques and complete joins on vertex ranges.  The
-generator builds its graph from the layout, and quasi_star_classes,
-g1_classes and g2_classes return the degree multiset of the same layout in
-time independent of n, which is what ``density`` sums at n up to 10**6.
+Every family is defined once, as a layout.  The general families
+(quasi-clique/quasi-star, G1, G2) are layouts of cliques and complete joins
+on vertex ranges; quasi_star_classes, g1_classes and g2_classes return the
+degree multiset of the same layout in time independent of n, which is what
+``density`` sums at n up to 10**6.  The bipartite families (column filling,
+B1, B2) are layouts of blocks, each a row range times a column range, whose
+degree lists the theorem sweeps score without building edges.  The
+generators build their graphs from the layouts.
 """
 
 from __future__ import annotations
@@ -136,19 +139,51 @@ def quasi_star_classes(n: int, m: int) -> Counter:
     return _degree_classes(n, _quasi_star_layout(n, m))
 
 
-def ak_bipartite(r: int, s: int, m: int) -> BipartiteGraph:
-    """Column filling: p full columns then q cells of column p.
+# ----------------------------------------------------------------------
+# bipartite families as block layouts
+#
+# A bipartite layout is a list of disjoint blocks (A, B): every cell (i, j)
+# with row i in the range A and column j in the range B is an edge.  Each
+# family's decomposition and domain checks live in its layout function
+# only, which also checks that the blocks hold exactly m cells.
 
-    Defined for the wide orientation r >= s only.
-    """
+
+def _check_cells(m: int, blocks) -> list:
+    assert sum(len(A) * len(B) for A, B in blocks) == m
+    return blocks
+
+
+def _bipartite_graph(r: int, s: int, blocks) -> BipartiteGraph:
+    return BipartiteGraph(r, s, {(i, j) for A, B in blocks for i in A for j in B})
+
+
+def _bipartite_degrees(r: int, s: int, blocks) -> tuple[list[int], list[int]]:
+    """Row and column degree lists of the blocks' graph, without edges."""
+    rows, cols = [0] * r, [0] * s
+    for A, B in blocks:
+        for i in A:
+            rows[i] += len(B)
+        for j in B:
+            cols[j] += len(A)
+    return rows, cols
+
+
+def _ak_layout(r: int, s: int, m: int) -> list:
     if r < s:
         raise ConstructionError(f"need r >= s, got r={r} < s={s}")
     if not 0 <= m <= r * s:
         raise ConstructionError(f"m={m} out of range for {r}x{s}")
     p, q = linear_decomposition(m, r)
-    edges = {(i, j) for j in range(p) for i in range(r)}
-    edges.update((i, p) for i in range(q))
-    return BipartiteGraph(r, s, edges)
+    # column p lies past s when m = r*s (q = 0)
+    return _check_cells(m, [(range(r), range(p)), (range(q), range(p, min(p + 1, s)))])
+
+
+def ak_bipartite(r: int, s: int, m: int) -> BipartiteGraph:
+    """Column filling: p full columns then q cells of column p.
+
+    Defined for the wide orientation r >= s only.
+    """
+    return _bipartite_graph(r, s, _ak_layout(r, s, m))
 
 
 @dataclass(frozen=True)
@@ -177,17 +212,8 @@ class BipartiteFamilyParams:
             raise ConstructionError(f"need k*ell <= m <= r*s, got m={m}")
 
 
-def b1_family(params: BipartiteFamilyParams) -> BipartiteGraph:
-    """Witness-first filling for the branch m <= r*k, k + ell <= r.
-
-    Writes m = k*ell + p*(r - ell) + q and lays down p full columns, a
-    partial column of ell + q cells, and the remaining witness rows across
-    columns p+1..k-1.  At the boundary m = r*k the leftover decomposition
-    degenerates (p = k would double-book the witness rows), so the full
-    r x k block is returned instead; it has the same Zagreb index as the
-    unconstrained column filling, which takes over from there.
-    """
-    r, s, m, ell, k = params.r, params.s, params.m, params.ell, params.k
+def _b1_layout(r: int, s: int, m: int, ell: int, k: int) -> list:
+    """Layout of b1_family for parameters BipartiteFamilyParams accepts."""
     if m > r * k:
         raise ConstructionError(f"branch needs m <= r*k, got m={m} > {r * k}")
     if k + ell > r:
@@ -201,13 +227,37 @@ def b1_family(params: BipartiteFamilyParams) -> BipartiteGraph:
         p, q = linear_decomposition(m - k * ell, r - ell)
     if p == k:
         assert q == 0 and m == r * k
-        edges = {(i, j) for i in range(r) for j in range(k)}
-        return BipartiteGraph(r, s, edges)
-    edges = {(i, j) for j in range(p) for i in range(r)}
-    edges.update((i, p) for i in range(ell + q))
-    edges.update((i, j) for i in range(ell) for j in range(p + 1, k))
-    assert len(edges) == m
-    return BipartiteGraph(r, s, edges)
+        return _check_cells(m, [(range(r), range(k))])
+    return _check_cells(m, [
+        (range(r), range(p)), (range(ell + q), range(p, p + 1)), (range(ell), range(p + 1, k)),
+    ])
+
+
+def b1_family(params: BipartiteFamilyParams) -> BipartiteGraph:
+    """Witness-first filling for the branch m <= r*k, k + ell <= r.
+
+    Writes m = k*ell + p*(r - ell) + q and lays down p full columns, a
+    partial column of ell + q cells, and the remaining witness rows across
+    columns p+1..k-1.  At the boundary m = r*k the leftover decomposition
+    degenerates (p = k would double-book the witness rows), so the full
+    r x k block is returned instead; it has the same Zagreb index as the
+    unconstrained column filling, which takes over from there.
+    """
+    r, s, m, ell, k = params.r, params.s, params.m, params.ell, params.k
+    return _bipartite_graph(r, s, _b1_layout(r, s, m, ell, k))
+
+
+def _b2_layout(r: int, s: int, m: int, ell: int, k: int) -> list:
+    """Layout of b2_family for parameters BipartiteFamilyParams accepts."""
+    if m > r * k:
+        raise ConstructionError(f"branch needs m <= r*k, got m={m} > {r * k}")
+    if k + ell <= r:
+        raise ConstructionError(f"branch needs k + ell > r, got {k + ell} <= {r}")
+    p, q = linear_decomposition(m - k * ell, k) if k > 0 else (0, 0)
+    if k == 0 and m != 0:
+        raise ConstructionError("m must be 0 when k = 0")
+    # row ell + p lies past r when m = r*k (q = 0)
+    return _check_cells(m, [(range(ell + p), range(k)), (range(ell + p, min(ell + p + 1, r)), range(q))])
 
 
 def b2_family(params: BipartiteFamilyParams) -> BipartiteGraph:
@@ -217,17 +267,7 @@ def b2_family(params: BipartiteFamilyParams) -> BipartiteGraph:
     in the next row.
     """
     r, s, m, ell, k = params.r, params.s, params.m, params.ell, params.k
-    if m > r * k:
-        raise ConstructionError(f"branch needs m <= r*k, got m={m} > {r * k}")
-    if k + ell <= r:
-        raise ConstructionError(f"branch needs k + ell > r, got {k + ell} <= {r}")
-    p, q = linear_decomposition(m - k * ell, k) if k > 0 else (0, 0)
-    if k == 0 and m != 0:
-        raise ConstructionError("m must be 0 when k = 0")
-    edges = {(i, j) for i in range(ell + p) for j in range(k)}
-    edges.update((ell + p, j) for j in range(q))
-    assert len(edges) == m
-    return BipartiteGraph(r, s, edges)
+    return _bipartite_graph(r, s, _b2_layout(r, s, m, ell, k))
 
 
 def _check_nonneg(n: int, m: int, ell: int, k: int) -> None:

@@ -34,7 +34,10 @@ derived afterwards via z1 = 2*cherries + 2*edges.  Reports carry the exact
 optimum, the number of optimal graphs, the optimal graph with the smallest
 bitmask (a partition-independent tie-break, so results do not depend on
 chunking or worker count), and the construction the relevant bound
-predicts for those parameters.
+predicts for those parameters.  Theorem sweeps score every prediction from
+its construction's layout and build no graph; the bipartite sweeps read the
+column filling, which does not depend on the witness, from one table per
+shape.
 """
 
 from __future__ import annotations
@@ -43,20 +46,24 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations, islice
 from math import comb
-from multiprocessing import Pool
 
 import numpy as np
 
 from .constructions import (
     BipartiteFamilyParams,
     ConstructionError,
+    _ak_layout,
+    _b1_layout,
+    _b2_layout,
+    _bipartite_degrees,
+    _degree_classes,
+    _quasi_clique_layout,
+    _quasi_star_layout,
     ak_bipartite,
     b1_family,
     b2_family,
     g1_family,
     g2_family,
-    quasi_clique,
-    quasi_star,
 )
 from .graph_core import (
     DEFAULT_BIT_CAP,
@@ -404,6 +411,9 @@ def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CA
         for joins in chain(head, chunks)
     )
     if len(head) > 1:
+        # imported here, so that a process that never runs jobs > 1 does not load it
+        from multiprocessing import Pool
+
         with Pool(len(head)) as pool:
             return reduce(_merge, pool.imap_unordered(_scan_chunk, tasks))
     return reduce(_merge, map(_scan_chunk, tasks))
@@ -538,24 +548,48 @@ def predicted_bipartite(r: int, s: int, ell: int, k: int, m: int):
 
     Branches: column filling B for m >= r*k, witness-first B1 for
     m <= r*k with k + ell <= r, else B2.  At the boundary m = r*k the two
-    applicable predictions must agree and are both checked.
+    applicable predictions must agree and are both checked.  The sweeps
+    score the same branches from layouts (_predictions).
     """
-    BipartiteFamilyParams(r, s, m, ell, k)
-    rk = r * k
-    if m < rk:
-        if k + ell <= r:
-            return b1_family(BipartiteFamilyParams(r, s, m, ell, k)), "B1"
-        return b2_family(BipartiteFamilyParams(r, s, m, ell, k)), "B2"
+    params = BipartiteFamilyParams(r, s, m, ell, k)
+    label, family = ("B1", b1_family) if k + ell <= r else ("B2", b2_family)
+    if m < r * k:
+        return family(params), label
     g = ak_bipartite(r, s, m)
-    if m > rk:
+    if m > r * k:
         return g, "B"
-    label = "B1" if k + ell <= r else "B2"
-    alt = (b1_family if label == "B1" else b2_family)(
-        BipartiteFamilyParams(r, s, m, ell, k)
-    )
-    if z1_index(alt) != z1_index(g):
+    if z1_index(family(params)) != z1_index(g):
         raise AssertionError("branch predictions disagree at the boundary m = r*k")
     return g, f"{label}=B"
+
+
+def _scored(r: int, s: int, blocks) -> tuple[list[int], list[int], int]:
+    """(row degrees, column degrees, Z1) of a bipartite layout."""
+    row_degrees, col_degrees = _bipartite_degrees(r, s, blocks)
+    return row_degrees, col_degrees, sum(d * d for d in row_degrees) + sum(d * d for d in col_degrees)
+
+
+def _column_filling(r: int, s: int) -> list:
+    """The column filling _scored at every m from 0 to r*s.  It does not
+    depend on the witness, so one table serves every (ell, k) of a shape."""
+    return [_scored(r, s, _ak_layout(r, s, m)) for m in range(r * s + 1)]
+
+
+def _predictions(r: int, s: int, ell: int, k: int, filling: list):
+    """(branch, row degrees, column degrees, Z1) of predicted_bipartite's
+    graph for each m from k*ell to r*s, read off the layouts; ``filling``
+    is _column_filling(r, s).  The parameters are validated once: each m
+    of the range meets k*ell <= m <= r*s."""
+    BipartiteFamilyParams(r, s, k * ell, ell, k)
+    label, layout = ("B1", _b1_layout) if k + ell <= r else ("B2", _b2_layout)
+    rk = r * k
+    for m in range(k * ell, rk):
+        yield (label, *_scored(r, s, layout(r, s, m, ell, k)))
+    if _scored(r, s, layout(r, s, rk, ell, k))[2] != filling[rk][2]:
+        raise AssertionError("branch predictions disagree at the boundary m = r*k")
+    yield (f"{label}=B", *filling[rk])
+    for m in range(rk + 1, r * s + 1):
+        yield ("B", *filling[m])
 
 
 def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
@@ -720,15 +754,19 @@ def general_max_table(n: int, *, cap: int = DEFAULT_BIT_CAP) -> np.ndarray:
 # theorem sweeps
 
 
+def _layout_z1(n: int, blocks) -> int:
+    return sum(d * d * count for d, count in _degree_classes(n, blocks).items())
+
+
 def verify_theorem_11(n_values=(4, 5, 6, 7), *, cap: int = DEFAULT_BIT_CAP) -> list[dict]:
     """Unconstrained general graphs: for every m the brute-force max equals
-    the better of quasi-star and quasi-clique."""
+    the better of quasi-star and quasi-clique, scored from their layouts."""
     rows = []
     for n in n_values:
         (best,), _, _ = _scan(comb(n, 2), _vertex_masks(n), _unconstrained, [(0, 0)], cap=cap)
         for m, oracle_z1 in enumerate(best.tolist()):
-            star = z1_index(quasi_star(n, m))
-            clique = z1_index(quasi_clique(n, m))
+            star = _layout_z1(n, _quasi_star_layout(n, m))
+            clique = _layout_z1(n, _quasi_clique_layout(n, m))
             predicted = max(star, clique)
             rows.append(
                 {
@@ -758,8 +796,9 @@ def verify_theorem_16(max_cells: int = 20, *, cap: int = DEFAULT_BIT_CAP) -> lis
         (best,), _, _ = _scan(
             r * s, _bipartite_incidence(r, s), _unconstrained, [(0, 0)], cap=cap, rows=r
         )
+        filling = _column_filling(r, s)
         for m, oracle_z1 in enumerate(best.tolist()):
-            predicted = z1_index(ak_bipartite(r, s, m))
+            predicted = filling[m][2]
             rows.append(
                 {
                     "r": r,
@@ -781,10 +820,10 @@ def _verify_constrained(max_cells: int, side: str, cap: int) -> list[dict]:
             r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
             [_floor_need(side, ell, k) for ell, k in cases], cap=cap, rows=r,
         )
+        filling = _column_filling(r, s)
         for (ell, k), best in zip(cases, table.tolist()):
-            for m in range(k * ell, r * s + 1):
-                predicted, branch = predicted_bipartite(r, s, ell, k, m)
-                pz1 = z1_index(predicted)
+            predictions = _predictions(r, s, ell, k, filling)
+            for m, (branch, row_degrees, col_degrees, pz1) in enumerate(predictions, k * ell):
                 rows.append(
                     {
                         "r": r,
@@ -796,7 +835,7 @@ def _verify_constrained(max_cells: int, side: str, cap: int) -> list[dict]:
                         "oracle_z1": best[m],
                         "predicted_z1": pz1,
                         "prediction_feasible": _witness_holds(
-                            predicted.left_degrees(), predicted.right_degrees(), side, ell, k
+                            row_degrees, col_degrees, side, ell, k
                         ),
                         "match": best[m] == pz1,
                     }

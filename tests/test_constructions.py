@@ -9,6 +9,12 @@ import pytest
 from cherrymax.constructions import (
     BipartiteFamilyParams,
     ConstructionError,
+    _ak_layout,
+    _b1_layout,
+    _b2_layout,
+    _bipartite_degrees,
+    _degree_classes,
+    _quasi_clique_layout,
     ak_bipartite,
     b1_family,
     b2_family,
@@ -186,6 +192,41 @@ def test_fact_22_decompositions():
     assert checked_b1 > 100 and checked_b2 > 100
 
 
+def _bipartite_layouts(max_cells):
+    """(case, layout, graph) for the column filling at every r >= s with
+    r * s <= max_cells and every m, and for the witness-first family of
+    every valid (r, s, ell, k, m) with m <= r * k."""
+    for s in range(1, max_cells + 1):
+        for r in range(s, max_cells // s + 1):
+            for m in range(r * s + 1):
+                yield (r, s, m), _ak_layout(r, s, m), ak_bipartite(r, s, m)
+            for k in range(s + 1):
+                for ell in range(k, r + 1):
+                    for m in range(k * ell, r * k + 1):
+                        params = BipartiteFamilyParams(r, s, m, ell, k)
+                        if k + ell <= r:
+                            yield (r, s, m, ell, k), _b1_layout(r, s, m, ell, k), b1_family(params)
+                        else:
+                            yield (r, s, m, ell, k), _b2_layout(r, s, m, ell, k), b2_family(params)
+
+
+def test_bipartite_layouts_tile_their_graphs():
+    """Each bipartite layout's blocks lie inside r x s, are disjoint, hold
+    m cells, are its generator's edges, and give its degree lists."""
+    seen = 0
+    for case, blocks, graph in _bipartite_layouts(16):
+        r, s, m = case[:3]
+        for A, B in blocks:
+            assert A.step == B.step == 1, case
+            assert 0 <= A.start <= A.stop <= r and 0 <= B.start <= B.stop <= s, case
+        cells = [(i, j) for A, B in blocks for i in A for j in B]
+        assert len(cells) == len(set(cells)) == m, case
+        assert set(cells) == graph.edges, case
+        assert _bipartite_degrees(r, s, blocks) == (graph.left_degrees(), graph.right_degrees()), case
+        seen += 1
+    assert seen > 1000
+
+
 def test_b_families_carry_witness():
     rng = random.Random(7)
     tuples = [t for t in all_valid_params(6) if t[2] <= t[0] * t[4]]
@@ -290,6 +331,8 @@ def test_degree_classes_match_built_graphs():
             qs = _degrees_or_refusal(quasi_star, n, m)
             assert isinstance(qs, Counter)
             assert _degrees_or_refusal(quasi_star_classes, n, m) == qs, (n, m)
+            qc = Counter(quasi_clique(n, m).degrees())
+            assert _degree_classes(n, _quasi_clique_layout(n, m)) == qc, (n, m)
             for ell in range(n + 1):
                 for k in range(n + 1):
                     case = (n, m, ell, k)

@@ -2,12 +2,13 @@
 
 import functools
 import json
+import multiprocessing
 from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from cherrymax import oracle
-from cherrymax.constructions import ConstructionError
+from cherrymax.constructions import ConstructionError, ak_bipartite
 from cherrymax.graph_core import (
     BipartiteGraph,
     Graph,
@@ -209,7 +210,7 @@ def test_jobs_start_no_more_workers_than_chunks(monkeypatch):
         def imap_unordered(self, fn, iterable):
             return map(fn, iterable)
 
-    monkeypatch.setattr(oracle, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 6)
     want = phi_bipartite(4, 4, 2, 2, 5).to_json()
     # the 272 row-sorted 4 x 4 masks with 5 edges fill 5 chunks of at most 2^6
@@ -448,6 +449,57 @@ def test_verify_theorem_11_rows():
     assert by_key[(5, 4)]["quasi_star_z1"] == 20
     assert by_key[(5, 4)]["quasi_clique_z1"] == 18
     assert by_key[(5, 6)]["quasi_clique_z1"] == 36
+
+
+# graph references: the bipartite sweeps as they were before their
+# predictions were scored from layouts, building every predicted graph
+
+
+def _ref_theorem_16(max_cells):
+    rows = []
+    for r, s in oracle._wide_pairs(max_cells):
+        (best,), _, _ = oracle._scan(
+            r * s, oracle._bipartite_incidence(r, s), oracle._unconstrained, [(0, 0)], rows=r
+        )
+        for m, oracle_z1 in enumerate(best.tolist()):
+            predicted = z1_index(ak_bipartite(r, s, m))
+            rows.append({"r": r, "s": s, "m": m, "oracle_z1": oracle_z1,
+                         "predicted_z1": predicted, "match": oracle_z1 == predicted})
+    return rows
+
+
+def _ref_constrained(max_cells, side):
+    rows = []
+    for r, s in oracle._wide_pairs(max_cells):
+        cases = [(ell, k) for k in range(s + 1) for ell in range(k, r + 1)]
+        table, _, _ = oracle._scan(
+            r * s, oracle._bipartite_incidence(r, s),
+            functools.partial(oracle._bipartite_level, r, side),
+            [oracle._floor_need(side, ell, k) for ell, k in cases], rows=r,
+        )
+        for (ell, k), best in zip(cases, table.tolist()):
+            for m in range(k * ell, r * s + 1):
+                predicted, branch = predicted_bipartite(r, s, ell, k, m)
+                pz1 = z1_index(predicted)
+                rows.append({
+                    "r": r, "s": s, "ell": ell, "k": k, "m": m, "branch": branch,
+                    "oracle_z1": best[m], "predicted_z1": pz1,
+                    "prediction_feasible": _witness_ok(predicted, side, ell, k),
+                    "match": best[m] == pz1,
+                })
+    return rows
+
+
+def test_sweeps_match_graph_references():
+    """Scored from layouts, with one column-filling table per shape, the
+    sweeps give the rows of the graph references on every shape with
+    r * s <= 14, key order included."""
+    assert verify_theorem_16(14) == _ref_theorem_16(14)
+    for sweep, side in ((verify_theorem_17, "left"), (verify_theorem_18, "right")):
+        got, want = sweep(14), _ref_constrained(14, side)
+        assert [list(row) for row in got] == [list(row) for row in want]
+        assert got == want, side
+        assert {row["branch"] for row in got} == {"B", "B1", "B2", "B1=B", "B2=B"}
 
 
 def test_verify_bipartite_theorems_small():

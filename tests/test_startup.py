@@ -1,5 +1,7 @@
 """What importing the package sets up, checked in fresh child processes:
-OpenBLAS runs one thread unless the caller already chose a count."""
+OpenBLAS runs one thread unless the caller already chose a count, and the
+CLI loads neither the density module nor multiprocessing until a command
+runs that needs it."""
 
 import os
 import subprocess
@@ -40,3 +42,11 @@ def test_import_pins_openblas_unless_preset(preset, expected):
 def test_cli_import_starts_no_blas_worker():
     code = "import os, cherrymax.cli; print(len(os.listdir('/proc/self/task')))"
     assert run_child(code) == "1"
+
+
+def test_cli_import_leaves_density_and_multiprocessing_unloaded():
+    code = (
+        "import sys, cherrymax.cli; "
+        "print(sorted({'multiprocessing', 'cherrymax.density'} & set(sys.modules)))"
+    )
+    assert run_child(code) == "[]"
