@@ -451,8 +451,8 @@ def test_verify_theorem_11_rows():
     assert by_key[(5, 6)]["quasi_clique_z1"] == 36
 
 
-# graph references: the bipartite sweeps as they were before their
-# predictions were scored from layouts, building every predicted graph
+# graph references for the bipartite sweeps: every predicted graph is
+# built, and its Z1 and witness are counted from its edges
 
 
 def _ref_theorem_16(max_cells):
