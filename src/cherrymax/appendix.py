@@ -13,6 +13,11 @@ derivative-sign claims by central differences (one-sided where a shifted
 point leaves the real domain), and reports the margin minimum, its
 location, and its stability under halving the grid.
 
+Each grid is walked once, in row-major blocks of at most _SLICE_NODES
+nodes (a single a-row where a row is longer), and the derivative claims
+are checked on the same blocks.  So the memory a check holds does not
+grow with the number of steps; the cap bounds only the node count.
+
 Margins are zero exactly at the boundary maximizers x = a (lemmas A2 and
 A4) and x = theta(a, d) (lemma A3); such nodes are accounted separately
 and everything else must be strictly positive.
@@ -20,6 +25,7 @@ and everything else must be strictly positive.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -35,7 +41,14 @@ _H = 1e-5
 _BOUNDARY_BAND = 1e-9
 
 D_RANGE = (17 / 50, 7 / 20)
-_D_CHUNK = 8
+# Most grid nodes evaluated at once.  A `verify-appendix --steps 150` child
+# (2 vCPU Xeon, median of 6) took 1.47 / 1.33 / 1.17 / 1.03 s of CPU and
+# peaked at 31.6 / 31.6 / 32.3 / 35.4 MB with 2^13 / 2^14 / 2^15 / 2^16:
+# per-block overhead outweighs cache misses in this range.
+_SLICE_NODES = 1 << 16
+# mallopt parameter numbers from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def _masked_sqrt(rad):
@@ -212,6 +225,47 @@ def _lemma(lemma: str) -> _LemmaDef:
 # grid machinery
 
 
+def _slices(shape):
+    """Blocks of a row-major (d, a, x) grid, as (d slice, a slice) pairs.
+
+    A block spans every x.  It is several whole d-planes or, where one
+    plane holds more than _SLICE_NODES nodes, a run of whole a-rows inside
+    one plane, so no block holds more than max(_SLICE_NODES, shape[2])
+    nodes.  Blocks come in row-major order.
+    """
+    planes, rows, row = shape
+    if rows * row <= _SLICE_NODES:
+        step = _SLICE_NODES // (rows * row)
+        for lo in range(0, planes, step):
+            yield slice(lo, min(lo + step, planes)), slice(0, rows)
+        return
+    step = max(1, _SLICE_NODES // row)
+    for plane in range(planes):
+        for lo in range(0, rows, step):
+            yield slice(plane, plane + 1), slice(lo, min(lo + step, rows))
+
+
+def _keep_heap_between_blocks() -> None:
+    """Let glibc reuse one block's freed temporaries for the next block.
+
+    By default glibc gives the free top of its heap back to the system
+    once it exceeds twice the largest mmap chunk freed so far, and every
+    block frees more than that.  So each block faulted its temporaries in
+    afresh: a `verify-appendix --steps 150` child took 200k-320k minor
+    faults and 0.3-0.5 s of system time, against 6k faults and 0.02 s with
+    the thresholds fixed at the ceilings glibc's own adaptive policy may
+    reach.  The setting is process-wide; without glibc this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _claimed_max(reg: _LemmaDef, d, a):
     if reg.max_at_a:
         y_at_a, _ = reg.y_solve(d, a, a)
@@ -225,7 +279,11 @@ def _eval_masked(reg: _LemmaDef, d, a, x):
 
 
 class _MinTracker:
-    """Running minimum with grid-index location, merged across chunks."""
+    """Running minimum with grid-index location, merged across blocks.
+
+    The strict < keeps the first minimum in row-major order, provided the
+    blocks arrive in that order.
+    """
 
     def __init__(self):
         self.value = np.inf
@@ -270,71 +328,127 @@ class LemmaCheckReport:
         return asdict(self)
 
 
-def _margin_sweep(lemma: str, steps: int):
-    """Min margins, counts and residuals over the (d, a, x) grid."""
-    reg = _lemma(lemma)
-    d_nodes = np.linspace(*D_RANGE, steps + 1)
-    a_nodes = np.linspace(*reg.a_range, steps + 1)
-    overall = _MinTracker()
-    interior = _MinTracker()
-    stats = {
-        "nodes_total": 0,
-        "nodes_in_box": 0,
-        "boundary_zero_nodes": 0,
-        "max_boundary_abs_margin": 0.0,
-        "residual_max": 0.0,
-        "closed_form_max_diff": 0.0,
-        "claimed_vs_bound_max_diff": 0.0,
-    }
-    a = a_nodes.reshape(1, -1, 1)
-    if reg.x_range is None:
-        x_nodes = np.zeros(1)
-    else:
-        x_nodes = np.linspace(*reg.x_range, steps + 1)
-    x = x_nodes.reshape(1, 1, -1)
+class _DerivativeCheck:
+    """Finite-difference sign check of one calculus claim, block by block."""
 
-    for lo in range(0, d_nodes.size, _D_CHUNK):
-        d = d_nodes[lo : lo + _D_CHUNK].reshape(-1, 1, 1)
-        axes = (("d", d), ("a", a), ("x", x))
+    def __init__(self, reg: _LemmaDef, claim, steps: int):
+        self.reg = reg
+        self.label, self.order, self.lo, self.hi, self.only_x_le_a = claim
+        x = np.linspace(self.lo, self.hi, steps + 1).reshape(1, 1, -1)
+        self.x, self.x_plus, self.x_minus = x, x + _H, x - _H
+        # where neither f nor its domain depends on a (A5), the claim's nodes
+        # are the (d, x) pairs, checked on the first a-row of each plane
+        f, valid = _eval_masked(
+            reg, np.full((1, 1, 1), D_RANGE[0]), np.reshape(reg.a_range, (1, 2, 1)), x[..., :1]
+        )
+        self.uses_a = np.broadcast_shapes(f.shape, valid.shape)[1] == 2
+        self.tracker = _MinTracker()
+        self.checked = self.skipped = self.violations = 0
+
+    def update(self, d, a, first_rows: bool, centre=None) -> None:
+        """Check one block; centre is (f, valid) at self.x when already known."""
+        if not (self.uses_a or first_rows):
+            return
+        reg, x = self.reg, self.x
+        fc, vc = centre if centre is not None else _eval_masked(reg, d, a, x)
+        fp, vp = _eval_masked(reg, d, a, self.x_plus)
+        fm, vm = _eval_masked(reg, d, a, self.x_minus)
+        if self.order == 1:
+            value = (fp - fm) / (2 * _H)
+            both = vp & vm
+            if not both.all():
+                # one-sided where a shifted point leaves the real domain
+                forward = (fp - fc) / _H
+                backward = (fc - fm) / _H
+                value = np.where(both, value, np.where(vp, forward, backward))
+            valid = vc & (vp | vm)
+        else:
+            value = (fp - 2 * fc + fm) / _H**2
+            valid = vc & vp & vm
+        shape = np.broadcast_shapes(value.shape, valid.shape, x.shape)
+        valid = np.broadcast_to(valid, shape)
+        value = np.broadcast_to(value, shape)
+        if self.only_x_le_a:
+            valid = valid & np.broadcast_to(x <= a + _SLACK, shape)
+        self.tracker.update(value, valid, (("d", d), ("a", a), ("x", x)))
+        block_checked = int(valid.sum())
+        self.checked += block_checked
+        self.skipped += valid.size - block_checked
+        self.violations += int((valid & (value < -_DERIV_TOL)).sum())
+
+    def report(self) -> dict:
+        return {
+            "claim": self.label,
+            "order": self.order,
+            "interval": [self.lo, self.hi],
+            "nodes_checked": self.checked,
+            "nodes_skipped": self.skipped,
+            "violations": self.violations,
+            "worst": self.tracker.value if self.checked else None,
+            "worst_at": self.tracker.location,
+        }
+
+
+class _MarginCheck:
+    """Min margins, counts and residuals of one lemma, block by block."""
+
+    def __init__(self, lemma: str):
+        self.lemma = lemma
+        self.reg = _lemma(lemma)
+        self.overall = _MinTracker()
+        self.interior = _MinTracker()
+        self.stats = {
+            "nodes_total": 0,
+            "nodes_in_box": 0,
+            "boundary_zero_nodes": 0,
+            "max_boundary_abs_margin": 0.0,
+            "residual_max": 0.0,
+            "closed_form_max_diff": 0.0,
+            "claimed_vs_bound_max_diff": 0.0,
+        }
+
+    def update(self, d, a, x):
+        """Check one block; return (f, valid) at its nodes, or None for A1."""
+        reg, stats = self.reg, self.stats
+        shape = (d.size, a.size, x.size)
+        centre = None
         if reg.x_range is None:
-            margins = bound_value(a, d) - quasi_star_scaled(d)
-            margins = np.broadcast_to(margins, (d.size, a.size, 1))
-            in_box = np.ones(margins.shape, dtype=bool)
-            boundary = np.zeros(margins.shape, dtype=bool)
+            margins = np.broadcast_to(bound_value(a, d) - quasi_star_scaled(d), shape)
+            in_box = np.ones(shape, dtype=bool)
+            boundary = np.zeros(shape, dtype=bool)
         else:
             y, valid = reg.y_solve(d, a, x)
+            f = reg.f(d, a, x, y)
+            centre = f, valid
+            claimed = _claimed_max(reg, d, a)
             in_box = (
                 valid
                 & (y >= -_SLACK)
                 & (y <= 1 - a + _SLACK)
                 & reg.extra_box(d, a, x, y)
             )
-            in_box = np.broadcast_to(in_box, (d.size, a.size, x.size))
-            margins = _claimed_max(reg, d, a) - reg.f(d, a, x, y)
-            margins = np.broadcast_to(margins, in_box.shape)
+            in_box = np.broadcast_to(in_box, shape)
+            margins = np.broadcast_to(claimed - f, shape)
             if reg.boundary is None:
-                boundary = np.zeros(in_box.shape, dtype=bool)
+                boundary = np.zeros(shape, dtype=bool)
             else:
-                boundary = np.broadcast_to(reg.boundary(d, a, x, y), in_box.shape) & in_box
-            res = np.abs(reg.residual(d, a, x, y))
-            res = np.broadcast_to(res, in_box.shape)
+                boundary = np.broadcast_to(reg.boundary(d, a, x, y), shape) & in_box
             if in_box.any():
+                res = np.broadcast_to(np.abs(reg.residual(d, a, x, y)), shape)
                 stats["residual_max"] = max(
                     stats["residual_max"], float(res[in_box].max())
                 )
-            if lemma == "A2":
-                diff = np.abs(reg.f(d, a, x, y) - closed_form_a2(d, a, x))
-                diff = np.broadcast_to(diff, in_box.shape)
-                if in_box.any():
+                if self.lemma == "A2":
+                    diff = np.broadcast_to(np.abs(f - closed_form_a2(d, a, x)), shape)
                     stats["closed_form_max_diff"] = max(
                         stats["closed_form_max_diff"], float(diff[in_box].max())
                     )
             if reg.max_at_a:
-                ident = np.abs(_claimed_max(reg, d, a) - bound_value(a, d))
+                ident = np.abs(claimed - bound_value(a, d))
                 stats["claimed_vs_bound_max_diff"] = max(
                     stats["claimed_vs_bound_max_diff"], float(ident.max())
                 )
-        stats["nodes_total"] += int(np.prod(in_box.shape))
+        stats["nodes_total"] += margins.size
         stats["nodes_in_box"] += int(in_box.sum())
         stats["boundary_zero_nodes"] += int(boundary.sum())
         if boundary.any():
@@ -342,54 +456,37 @@ def _margin_sweep(lemma: str, steps: int):
                 stats["max_boundary_abs_margin"],
                 float(np.abs(margins[boundary]).max()),
             )
-        overall.update(margins, in_box, axes)
-        interior.update(margins, in_box & ~boundary, axes)
-    return overall, interior, stats
+        axes = (("d", d), ("a", a), ("x", x))
+        self.overall.update(margins, in_box, axes)
+        self.interior.update(margins, in_box & ~boundary, axes)
+        return centre
 
 
-def _derivative_check(lemma: str, claim, steps: int) -> dict:
-    """Finite-difference sign check of one calculus claim, in d slices."""
+def _margin_sweep(lemma: str, steps: int, claims: tuple = ()):
+    """Walk the (d, a, x) grid once for the margins and the given claims.
+
+    Every claim's x-axis has as many nodes as the lemma's, so one slicing
+    serves both; a claim on the lemma's own x-range takes the sweep's f
+    as its centre value.
+    """
     reg = _lemma(lemma)
-    label, order, lo, hi, only_x_le_a = claim
     d_nodes = np.linspace(*D_RANGE, steps + 1)
-    a = np.linspace(*reg.a_range, steps + 1).reshape(1, -1, 1)
-    x = np.linspace(lo, hi, steps + 1).reshape(1, 1, -1)
-    tracker = _MinTracker()
-    checked = skipped = violations = 0
-    # every y-solve depends on d, so the d slices partition the counted nodes
-    for start in range(0, d_nodes.size, _D_CHUNK):
-        d = d_nodes[start : start + _D_CHUNK].reshape(-1, 1, 1)
-        fc, vc = _eval_masked(reg, d, a, x)
-        fp, vp = _eval_masked(reg, d, a, x + _H)
-        fm, vm = _eval_masked(reg, d, a, x - _H)
-        if order == 1:
-            central = (fp - fm) / (2 * _H)
-            forward = (fp - fc) / _H
-            backward = (fc - fm) / _H
-            value = np.where(vp & vm, central, np.where(vp, forward, backward))
-            valid = vc & (vp | vm)
-        else:
-            value = (fp - 2 * fc + fm) / _H**2
-            valid = vc & vp & vm
-        valid = np.broadcast_to(valid, np.broadcast_shapes(value.shape, valid.shape, x.shape))
-        value = np.broadcast_to(value, valid.shape)
-        if only_x_le_a:
-            valid = valid & np.broadcast_to(x <= a + _SLACK, valid.shape)
-        tracker.update(value, valid, (("d", d), ("a", a), ("x", x)))
-        slice_checked = int(valid.sum())
-        checked += slice_checked
-        skipped += valid.size - slice_checked
-        violations += int((valid & (value < -_DERIV_TOL)).sum())
-    return {
-        "claim": label,
-        "order": order,
-        "interval": [lo, hi],
-        "nodes_checked": checked,
-        "nodes_skipped": skipped,
-        "violations": violations,
-        "worst": tracker.value if checked else None,
-        "worst_at": tracker.location,
-    }
+    a_nodes = np.linspace(*reg.a_range, steps + 1)
+    if reg.x_range is None:
+        x = np.zeros((1, 1, 1))
+    else:
+        x = np.linspace(*reg.x_range, steps + 1).reshape(1, 1, -1)
+    sweep = _MarginCheck(lemma)
+    checks = [_DerivativeCheck(reg, claim, steps) for claim in claims]
+    for d_part, a_part in _slices((d_nodes.size, a_nodes.size, x.size)):
+        d = d_nodes[d_part].reshape(-1, 1, 1)
+        a = a_nodes[a_part].reshape(1, -1, 1)
+        centre = sweep.update(d, a, x)
+        for check in checks:
+            shared = (check.lo, check.hi) == reg.x_range
+            check.update(d, a, a_part.start == 0, centre if shared else None)
+    reports = [check.report() for check in checks]
+    return sweep.overall, sweep.interior, sweep.stats, reports
 
 
 def a1_corner_expected() -> float:
@@ -422,7 +519,8 @@ def check_lemma(lemma: str, steps: int = 100, *, cap: int = DEFAULT_BIT_CAP) -> 
     """Run the full grid verification for one lemma.
 
     A grid of more than 2^cap nodes, counted as (steps+1)^3 for every
-    lemma, is refused before anything is evaluated.
+    lemma, is refused before anything is evaluated.  On glibc, a check
+    fixes malloc's trim and mmap thresholds (_keep_heap_between_blocks).
     """
     if steps < 10:
         raise ValueError("need at least 10 steps per axis")
@@ -433,11 +531,11 @@ def check_lemma(lemma: str, steps: int = 100, *, cap: int = DEFAULT_BIT_CAP) -> 
         raise SearchCapExceededError(
             f"appendix grid of {nodes} nodes ({steps} steps per axis) exceeds the cap of 2^{cap}"
         )
-    overall, interior, stats = _margin_sweep(lemma, steps)
-    coarse_overall, _, _ = _margin_sweep(lemma, max(10, steps // 2))
-    derivative_checks = [
-        _derivative_check(lemma, claim, steps) for claim in reg.deriv_claims
-    ]
+    _keep_heap_between_blocks()
+    overall, interior, stats, derivative_checks = _margin_sweep(
+        lemma, steps, reg.deriv_claims
+    )
+    coarse_overall = _margin_sweep(lemma, max(10, steps // 2))[0]
 
     extras: dict = {}
     if lemma == "A1":

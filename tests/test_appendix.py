@@ -6,6 +6,7 @@ from math import sqrt
 
 import pytest
 
+from cherrymax import appendix
 from cherrymax.appendix import (
     _LEMMAS,
     LEMMA_IDS,
@@ -140,3 +141,40 @@ def test_interior_bounds():
     assert [r["ok"] for r in rows] == [True] * len(rows)
     names = {r["name"] for r in rows}
     assert "clique-prefix-gap" in names and "offset-scale" in names
+
+
+@pytest.mark.parametrize("steps", [10, 150, 255, 1000, 4095])
+def test_slices_tile_the_grid_in_row_major_order(steps):
+    n = steps + 1
+    limit = max(appendix._SLICE_NODES, n)
+    position = 0
+    for d_part, a_part in appendix._slices((n, n, n)):
+        planes = d_part.stop - d_part.start
+        rows = a_part.stop - a_part.start
+        assert planes >= 1 and rows >= 1
+        # several whole planes, or a run of rows inside one plane
+        assert planes == 1 or (a_part.start, a_part.stop) == (0, n)
+        assert (d_part.start * n + a_part.start) * n == position
+        size = planes * rows * n
+        assert size <= limit
+        position += size
+    assert position == n**3
+
+
+def _without_wall_time(report):
+    payload = report.to_json()
+    del payload["wall_time_s"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [lambda n: 1, lambda n: 4 * n, lambda n: 3 * n * n, lambda n: n**3],
+    ids=["one-row", "four-rows", "three-planes", "whole-grid"],
+)
+@pytest.mark.parametrize("steps", [20, 21])
+def test_slice_seams_leave_reports_unchanged(monkeypatch, steps, budget):
+    expected = [_without_wall_time(check_lemma(lemma, steps)) for lemma in LEMMA_IDS]
+    monkeypatch.setattr(appendix, "_SLICE_NODES", budget(steps + 1))
+    got = [_without_wall_time(check_lemma(lemma, steps)) for lemma in LEMMA_IDS]
+    assert got == expected

@@ -324,6 +324,38 @@ def test_verify_appendix_honours_cap(capsys, argv, code):
         assert err == "" and json.loads(out)["passed"]
 
 
+# Spawned from a small helper interpreter, because a child's ru_maxrss
+# includes the RSS of the process that forked it.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(*argv):
+    package_root = Path(cherrymax.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "cherrymax.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, kilobytes = map(int, proc.stdout.split())
+    assert code == 0
+    return kilobytes / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_verify_appendix_memory_does_not_grow_with_steps():
+    argv = ("verify-appendix", "--lemma", "A5", "--cap", "30", "-o", os.devnull)
+    small = peak_rss_mb(*argv, "--steps", "50")
+    large = peak_rss_mb(*argv, "--steps", "400")
+    assert large <= small + 10, (small, large)
+
+
 def test_verify_appendix_interior(capsys):
     code, out, _ = run_cli(capsys, "verify-appendix", "--lemma", "interior")
     assert code == 0
