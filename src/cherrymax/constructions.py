@@ -21,12 +21,13 @@ small-n tests can.
 
 Every family is defined once, as a layout.  The general families
 (quasi-clique/quasi-star, G1, G2) are layouts of cliques and complete joins
-on vertex ranges; quasi_star_classes, g1_classes and g2_classes return the
-degree multiset of the same layout in time independent of n, which is what
-``density`` sums at n up to 10**6.  The bipartite families (column filling,
-B1, B2) are layouts of blocks, each a row range times a column range, whose
-degree lists the theorem sweeps score without building edges.  The
-generators build their graphs from the layouts.
+on vertex ranges; _degree_classes reads the degree multiset off any such
+layout in time independent of n, which is what ``density`` sums at n up to
+10**6 and what ``oracle`` scores its general predictions from.  The
+bipartite families (column filling, B1, B2) are layouts of blocks, each a
+row range times a column range, whose degree lists the theorem sweeps
+score without building edges.  The generators build their graphs from the
+layouts.
 """
 
 from __future__ import annotations
@@ -132,11 +133,6 @@ def quasi_clique(n: int, m: int) -> Graph:
 def quasi_star(n: int, m: int) -> Graph:
     """Complement of the quasi-clique with the complementary edge count."""
     return _graph(n, m, _quasi_star_layout(n, m))
-
-
-def quasi_star_classes(n: int, m: int) -> Counter:
-    """Degree multiset of quasi_star(n, m), computed without its edges."""
-    return _degree_classes(n, _quasi_star_layout(n, m))
 
 
 # ----------------------------------------------------------------------
@@ -303,11 +299,6 @@ def g1_family(n: int, m: int, ell: int, k: int) -> Graph:
     return _graph(n, m, _g1_layout(n, m, ell, k))
 
 
-def g1_classes(n: int, m: int, ell: int, k: int) -> Counter:
-    """Degree multiset of g1_family(n, m, ell, k), computed without its edges."""
-    return _degree_classes(n, _g1_layout(n, m, ell, k))
-
-
 def _g2_decomposition(m: int, ell: int) -> tuple[int, int]:
     """(a, b) with m = a*ell + C(a, 2) + b and a as large as possible.
 
@@ -318,12 +309,12 @@ def _g2_decomposition(m: int, ell: int) -> tuple[int, int]:
     return top - ell, b
 
 
-def _g2_layout(n: int, m: int, ell: int, k: int) -> tuple[int, int, list]:
-    """(a, b, blocks) of the clique joined to the witness a..a+ell-1.
+def _g2_layout(n: int, m: int, ell: int, k: int) -> list:
+    """The clique 0..a-1 joined to the witness a..a+ell-1, and b remainder
+    edges from vertex a+ell to vertices 0..b-1.
 
-    The b remainder edges run from vertex a+ell to vertices 0..b-1.  When
-    b > a they spill onto witness vertices from outside, which keeps the
-    witness independent with degree floor a.
+    When b > a the remainder spills onto witness vertices from outside,
+    which keeps the witness independent with degree floor a.
     """
     _check_nonneg(n, m, ell, k)
     a, b = _g2_decomposition(m, ell)
@@ -332,7 +323,7 @@ def _g2_layout(n: int, m: int, ell: int, k: int) -> tuple[int, int, list]:
     top = a + ell + 1 if b > 0 else a + ell
     if top > n:
         raise ConstructionError(f"needs {top} vertices, have n={n}")
-    return a, b, [
+    return [
         (range(a), range(a)),
         (range(a), range(a, a + ell)),
         (range(b), range(a + ell, a + ell + 1)),
@@ -343,17 +334,8 @@ def g2_family(n: int, m: int, ell: int, k: int) -> Graph:
     """Clique joined to an independent ell-set: m = a*ell + C(a, 2) + b.
 
     0-based layout: clique on 0..a-1, complete join to the witness
-    a..a+ell-1, b extra edges from vertex a+ell.  The witness degree is a,
-    so a >= k is required.
+    a..a+ell-1, b extra edges from vertex a+ell to 0..b-1, which reach
+    into the witness when b > a.  The witness degree is at least a, so
+    a >= k is required.
     """
-    a, b, blocks = _g2_layout(n, m, ell, k)
-    # Unlike g2_classes, the generator refuses the remainder spill.  Which
-    # of the two is the paper's G2 is open (ROADMAP, "One G2").
-    if b > a:
-        raise ConstructionError(f"b={b} > a={a} would attach edges inside the witness")
-    return _graph(n, m, blocks)
-
-
-def g2_classes(n: int, m: int, ell: int, k: int) -> Counter:
-    """Degree multiset of the G2 layout, remainder spill (b > a) included."""
-    return _degree_classes(n, _g2_layout(n, m, ell, k)[2])
+    return _graph(n, m, _g2_layout(n, m, ell, k))

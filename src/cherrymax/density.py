@@ -12,30 +12,34 @@ infeasible points carry value None and are excluded from the max.
 ``scan`` evaluates all three over a (rho, alpha, beta) grid.  It sizes
 the grid from its axes and refuses one of more than 2^cap points; the
 ``ScanGrid`` it returns evaluates the points in numpy, a fixed-size block
-at a time, and gives them as row dicts or streams them as CSV text, so
-memory is set by the block, not the grid.  The values equal the scalar
-formulas bit for bit (see "grid scans" below).
+at a time, and streams them as CSV or JSON text, so memory is set by the
+block, not the grid.  The values equal the scalar formulas bit for bit
+(see "grid scans" below).
 
 Finite-n densities are computed exactly from degree classes (each family
 has at most five distinct degrees), so convergence experiments run at any
-n without materializing edge sets.  The classes come from
-``constructions``, which reads them off the same layout its generators
-build graphs from; this module only sums them.  The g2 classes keep the
-remainder spill that ``g2_family`` refuses (see ROADMAP, "One G2").
+n without materializing edge sets.  The classes are read off the same
+layouts that ``constructions`` builds its graphs from; this module only
+sums them.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, inf, isfinite, prod, sqrt
 
 import numpy as np
 
-from .constructions import ConstructionError, g1_classes, g2_classes, quasi_star_classes
+from .constructions import (
+    ConstructionError,
+    _degree_classes,
+    _g1_layout,
+    _g2_layout,
+    _quasi_star_layout,
+)
 from .graph_core import DEFAULT_BIT_CAP, SearchCapExceededError
 
 _SLACK = 1e-12
@@ -121,20 +125,19 @@ def construction_density(
     value is symmetric under that exchange.
     """
     m = _round_half_up(p.rho * comb(n, 2))
+    ell, k = _round_half_up(p.alpha * n), _round_half_up(p.beta * n)
     if family == "quasi_star":
-        classes = quasi_star_classes(n, m)
+        layout = _quasi_star_layout(n, m)
     elif family == "g1":
-        ell, k = _round_half_up(p.alpha * n), _round_half_up(p.beta * n)
         try:
-            classes = g1_classes(n, m, ell, k)
+            layout = _g1_layout(n, m, ell, k)
         except ConstructionError:
-            classes = g1_classes(n, m, k, ell)
+            layout = _g1_layout(n, m, k, ell)
     elif family == "g2":
-        ell, k = _round_half_up(p.alpha * n), _round_half_up(p.beta * n)
-        classes = g2_classes(n, m, ell, k)
+        layout = _g2_layout(n, m, ell, k)
     else:
         raise ValueError(f"unknown family {family!r}")
-    return _classes_to_densities(n, classes, m)
+    return _classes_to_densities(n, _degree_classes(n, layout), m)
 
 
 def _family_formula(p: DensityPoint, family: str) -> float:
@@ -247,14 +250,14 @@ def _sqrt0(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(x < 0.0, 0.0, x))
 
 
-class ScanGrid(Sequence):
-    """The rows of a scan, evaluated block by block when they are read.
+class ScanGrid:
+    """The rows of a scan, evaluated block by block as they are streamed.
 
-    Row i is a dict with the point (rho, alpha, beta), the quasi_star, g1
-    and g2 values (g1 None where infeasible), g1_feasible, the max_value
-    over the defined values, and as best the winning expression or a
-    "tie:" list of all within 1e-9 of the max.  Rows run in (rho, alpha, beta) grid
-    order.  Memory is set by the block size, not by the grid.
+    Each row has the point (rho, alpha, beta), the quasi_star, g1 and g2
+    values (g1 empty where infeasible), g1_feasible, the max_value over the
+    defined values, and as best the winning expression or a "tie:" list of
+    all within 1e-9 of the max.  Rows run in (rho, alpha, beta) grid order.
+    Memory is set by the block size, not by the grid.
     """
 
     def __init__(self, rho: _Axis, alpha: _Axis, beta: _Axis):
@@ -264,19 +267,6 @@ class ScanGrid(Sequence):
     def __len__(self) -> int:
         return self._len
 
-    def __getitem__(self, index: int) -> dict:
-        index = operator.index(index)
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError("scan row index out of range")
-        return dict(zip(_FIELDS, next(zip(*self._columns(index, index + 1, text=False)))))
-
-    def __iter__(self) -> Iterator[dict]:
-        for start, stop in self._blocks():
-            for values in zip(*self._columns(start, stop, text=False)):
-                yield dict(zip(_FIELDS, values))
-
     def csv_chunks(self) -> Iterator[str]:
         """The rows as CSV, header first, one chunk per block.
 
@@ -285,13 +275,13 @@ class ScanGrid(Sequence):
         """
         yield ",".join(_FIELDS) + "\n"
         for start, stop in self._blocks():
-            yield "\n".join(map(",".join, zip(*self._columns(start, stop, text=True)))) + "\n"
+            yield "\n".join(map(",".join, zip(*self._columns(start, stop)))) + "\n"
 
     def json_chunks(self) -> Iterator[str]:
         """The rows as JSON, one chunk per block, built from the CSV text.
 
-        The text equals json.dumps(list(self), indent=2): floats as repr,
-        None as null, booleans as true/false, labels quoted.
+        The text equals json.dumps of the rows as dicts with indent=2:
+        floats as repr, None as null, booleans as true/false, labels quoted.
         """
         keys = [f"    {json.dumps(field)}: " for field in _FIELDS]
         literal = {"": "null", "True": "true", "False": "false"}
@@ -299,7 +289,7 @@ class ScanGrid(Sequence):
         g1, feasible, best = (_FIELDS.index(f) for f in ("g1", "g1_feasible", "best"))
         sep = "[\n"
         for start, stop in self._blocks():
-            columns = self._columns(start, stop, text=True)
+            columns = self._columns(start, stop)
             columns[g1] = [literal.get(v, v) for v in columns[g1]]
             columns[feasible] = [literal[v] for v in columns[feasible]]
             columns[best] = [labels[v] for v in columns[best]]
@@ -312,8 +302,8 @@ class ScanGrid(Sequence):
         for start in range(0, self._len, _BLOCK):
             yield start, min(start + _BLOCK, self._len)
 
-    def _columns(self, start: int, stop: int, *, text: bool) -> list[list]:
-        """The _FIELDS columns of points [start, stop), as values or as CSV text."""
+    def _columns(self, start: int, stop: int) -> list[list[str]]:
+        """The _FIELDS columns of points [start, stop), as CSV text."""
         rho_axis, alpha_axis, beta_axis = self._axes
         rhos, ir = rho_axis.slots(start, stop, alpha_axis.size * beta_axis.size)
         alphas, ia = alpha_axis.slots(start, stop, beta_axis.size)
@@ -337,15 +327,15 @@ class ScanGrid(Sequence):
         code = (qs >= near) + 2 * (feasible & (g1 >= near)) + 4 * (g2 >= near)
 
         def column(values, slots=None):
-            out = np.array([repr(v) for v in values] if text else values, dtype=object)
+            out = np.array([repr(v) for v in values], dtype=object)
             return out if slots is None else out[slots]
 
         qs_col = column(quasi_stars, ir)
         g1_col = column(g1.tolist())
-        g1_col[~feasible] = "" if text else None
+        g1_col[~feasible] = ""
         g2_col = column(g2.tolist())
         max_col = np.where(pick_g2, g2_col, np.where(pick_g1, g1_col, qs_col))
-        feasible_col = np.where(feasible, "True", "False") if text else feasible
+        feasible_col = np.where(feasible, "True", "False")
         columns = (
             column(rhos, ir), column(alphas, ia), column(betas, ib), qs_col,
             g1_col, g2_col, feasible_col, max_col, _LABELS[code],

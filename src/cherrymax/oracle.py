@@ -34,10 +34,10 @@ derived afterwards via z1 = 2*cherries + 2*edges.  Reports carry the exact
 optimum, the number of optimal graphs, the optimal graph with the smallest
 bitmask (a partition-independent tie-break, so results do not depend on
 chunking or worker count), and the construction the relevant bound
-predicts for those parameters.  Theorem sweeps score every prediction from
-its construction's layout and build no graph; the bipartite sweeps read the
-column filling, which does not depend on the witness, from one table per
-shape.
+predicts for those parameters.  Theorem sweeps and general-graph queries
+score every prediction from its construction's layout and build no graph;
+the bipartite sweeps read the column filling, which does not depend on
+the witness, from one table per shape.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ from .constructions import (
     _b2_layout,
     _bipartite_degrees,
     _degree_classes,
+    _g1_layout,
+    _g2_layout,
     _quasi_clique_layout,
     _quasi_star_layout,
     ak_bipartite,
     b1_family,
     b2_family,
-    g1_family,
-    g2_family,
 )
 from .graph_core import (
     DEFAULT_BIT_CAP,
@@ -692,21 +692,24 @@ def _independent_level(n, chunk, ell):
     return level
 
 
+def _layout_z1(n: int, blocks) -> int:
+    return sum(d * d * count for d, count in _degree_classes(n, blocks).items())
+
+
 def predicted_general(n: int, m: int, ell: int, k: int):
-    """Best constructible of the two clique-plus-block graphs, or None."""
-    cands = []
-    for label, builder in (("G1", g1_family), ("G2", g2_family)):
+    """(Z1, label) of the better constructible of the two clique-plus-block
+    layouts, G1 and G2, with ties labelled "G1=G2"; (None, None) when
+    neither is constructible."""
+    scored = []
+    for label, layout in (("G1", _g1_layout), ("G2", _g2_layout)):
         try:
-            cands.append((label, builder(n, m, ell, k)))
+            scored.append((_layout_z1(n, layout(n, m, ell, k)), label))
         except ConstructionError:
             pass
-    if not cands:
+    if not scored:
         return None, None
-    scored = [(z1_index(g), label, g) for label, g in cands]
-    best = max(v for v, _, _ in scored)
-    winners = [label for v, label, _ in scored if v == best]
-    graph = next(g for v, _, g in scored if v == best)
-    return graph, "=".join(winners)
+    best = max(z1 for z1, _ in scored)
+    return best, "=".join(label for z1, label in scored if z1 == best)
 
 
 def max_cherries_general(n, m, ell, k, *, jobs=1, cap=DEFAULT_BIT_CAP) -> OracleReport:
@@ -723,8 +726,7 @@ def max_cherries_general(n, m, ell, k, *, jobs=1, cap=DEFAULT_BIT_CAP) -> Oracle
     if best < 0:
         raise ConstructionError("no graph satisfies the constraints")
     best = int(best)
-    predicted, branch = predicted_general(n, m, ell, k)
-    pred_z1 = None if predicted is None else z1_index(predicted)
+    pred_z1, branch = predicted_general(n, m, ell, k)
     return OracleReport(
         family="general",
         params={"n": n, "m": m, "ell": ell, "k": k},
@@ -752,10 +754,6 @@ def general_max_table(n: int, *, cap: int = DEFAULT_BIT_CAP) -> np.ndarray:
 
 # ----------------------------------------------------------------------
 # theorem sweeps
-
-
-def _layout_z1(n: int, blocks) -> int:
-    return sum(d * d * count for d, count in _degree_classes(n, blocks).items())
 
 
 def verify_theorem_11(n_values=(4, 5, 6, 7), *, cap: int = DEFAULT_BIT_CAP) -> list[dict]:

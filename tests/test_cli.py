@@ -61,6 +61,19 @@ def test_construct_csv_edges(capsys):
     assert len(lines) == 5
 
 
+def test_construct_g2_with_remainder_spill(capsys):
+    # m = 13 = 3*2 + C(3, 2) + 4: the 4 remainder edges reach into the witness
+    code, out, _ = run_cli(
+        capsys, "construct", "g2", "--n", "9", "--m", "13", "--ell", "2", "--k", "2",
+        "--format", "csv",
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "u,v"
+    assert len(lines) == 1 + 13
+    assert "3,5" in lines
+
+
 def test_construct_missing_flag(capsys):
     code, out, err = run_cli(capsys, "construct", "quasi-star", "--n", "6")
     assert code == 2
@@ -168,6 +181,18 @@ def test_maximize_matches_library(capsys):
     payload = json.loads(out)
     want = phi_bipartite(3, 3, 2, 2, 6)
     assert payload == want.to_json()
+
+
+def test_maximize_general_predicts_g2_with_remainder_spill(capsys):
+    code, out, _ = run_cli(
+        capsys, "maximize", "--family", "general",
+        "--n", "5", "--m", "8", "--ell", "2", "--k", "1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["predicted_branch"] == "G2"
+    assert payload["predicted_z1"] == payload["optimum_z1"] == 54
+    assert payload["match"] is True
 
 
 def test_maximize_general_rejects_shifted_mode(capsys):

@@ -14,18 +14,18 @@ from cherrymax.constructions import (
     _b2_layout,
     _bipartite_degrees,
     _degree_classes,
+    _g1_layout,
+    _g2_layout,
     _quasi_clique_layout,
+    _quasi_star_layout,
     ak_bipartite,
     b1_family,
     b2_family,
-    g1_classes,
     g1_family,
-    g2_classes,
     g2_family,
     linear_decomposition,
     quasi_clique,
     quasi_star,
-    quasi_star_classes,
     triangular_decomposition,
 )
 from cherrymax.graph_core import (
@@ -96,7 +96,7 @@ def test_quasi_star_examples():
 
 def test_complement_duality():
     """quasi_star(n, m) is the exact complement of quasi_clique(n, C(n,2)-m),
-    and quasi_star_classes is its degree multiset."""
+    and the degree classes of its layout are its degree multiset."""
     for n in range(1, 14):
         total = comb(n, 2)
         all_pairs = {(u, v) for u in range(n) for v in range(u + 1, n)}
@@ -104,7 +104,7 @@ def test_complement_duality():
             qs = quasi_star(n, m)
             qc = quasi_clique(n, total - m)
             assert qs.edges == frozenset(all_pairs - qc.edges)
-            assert quasi_star_classes(n, m) == Counter(qs.degrees())
+            assert _degree_classes(n, _quasi_star_layout(n, m)) == Counter(qs.degrees())
 
 
 def test_edge_counts_everywhere():
@@ -269,11 +269,13 @@ def test_g2_frozen_example():
     w.check_in(g)
 
 
-def test_g2_rejects_spill_into_witness():
-    # m = 13 decomposes with a = 3 and b = 4 > a: the remainder edges
-    # would land inside the independent block
-    with pytest.raises(ConstructionError):
-        g2_family(9, 13, 2, 2)
+def test_g2_builds_remainder_spill():
+    # m = 13 decomposes with a = 3 and b = 4 > a: the remainder edges run
+    # from vertex a+ell = 5 to vertices 0..3, so to witness vertex 3 too
+    g = g2_family(9, 13, 2, 2)
+    assert g.num_edges == 13
+    assert (3, 5) in g.edges and (4, 5) not in g.edges
+    g2_witness(9, 13, 2, 2).check_in(g)
     with pytest.raises(ConstructionError):
         g2_family(20, 9, 2, 4)  # witness degree a falls below k
 
@@ -302,13 +304,20 @@ def test_g_families_properties():
 
 
 def _degrees_or_refusal(build, *args):
-    """Degree multiset of build(*args), a graph or a Counter, or the
-    message it is refused with."""
+    """Degree multiset of build(*args), a graph, or the message it is
+    refused with."""
     try:
-        value = build(*args)
+        return Counter(build(*args).degrees())
     except ConstructionError as exc:
         return str(exc)
-    return value if isinstance(value, Counter) else Counter(value.degrees())
+
+
+def _classes_or_refusal(layout, n, *args):
+    """Degree classes of the layout, or the message it is refused with."""
+    try:
+        return _degree_classes(n, layout(n, *args))
+    except ConstructionError as exc:
+        return str(exc)
 
 
 def _g2_spill_degrees(n, m, ell):
@@ -321,33 +330,47 @@ def _g2_spill_degrees(n, m, ell):
     return Counter(Graph(n, edges).degrees())
 
 
+def test_g2_spill_keeps_the_witness():
+    """Every n <= 9 cell whose remainder spills (b > a): the built graph
+    holds the witness a..a+ell-1 and has the hand-built spill degrees."""
+    spill = 0
+    for n in range(10):
+        for m in range(comb(n, 2) + 1):
+            for ell in range(n + 1):
+                a = _g2_clique_size(m, ell)
+                if m - a * ell - comb(a, 2) <= a:
+                    continue
+                for k in range(a + 1):
+                    try:
+                        g = g2_family(n, m, ell, k)
+                    except ConstructionError:
+                        continue
+                    assert g2_witness(n, m, ell, k).holds_in(g), (n, m, ell, k)
+                    assert Counter(g.degrees()) == _g2_spill_degrees(n, m, ell), (n, m, ell, k)
+                    spill += 1
+    assert spill == 462
+
+
 def test_degree_classes_match_built_graphs():
-    """Every n <= 9, m, ell and k: the degree classes equal the built
-    graph's degrees and both sides refuse with the same message, except
-    that g2_family alone refuses the remainder spill b > a."""
-    spill = built_g2 = 0
+    """Every n <= 9, m, ell and k: the degree classes of each layout equal
+    the built graph's degrees, and both sides refuse with the same message."""
+    built_g2 = 0
     for n in range(10):
         for m in range(comb(n, 2) + 1):
             qs = _degrees_or_refusal(quasi_star, n, m)
             assert isinstance(qs, Counter)
-            assert _degrees_or_refusal(quasi_star_classes, n, m) == qs, (n, m)
+            assert _classes_or_refusal(_quasi_star_layout, n, m) == qs, (n, m)
             qc = Counter(quasi_clique(n, m).degrees())
             assert _degree_classes(n, _quasi_clique_layout(n, m)) == qc, (n, m)
             for ell in range(n + 1):
                 for k in range(n + 1):
                     case = (n, m, ell, k)
                     g1 = _degrees_or_refusal(g1_family, *case)
-                    assert _degrees_or_refusal(g1_classes, *case) == g1, case
+                    assert _classes_or_refusal(_g1_layout, *case) == g1, case
                     g2 = _degrees_or_refusal(g2_family, *case)
-                    classes = _degrees_or_refusal(g2_classes, *case)
-                    if isinstance(g2, str) and isinstance(classes, Counter):
-                        assert g2.startswith("b=") and "would attach edges" in g2, case
-                        assert classes == _g2_spill_degrees(n, m, ell), case
-                        spill += 1
-                    else:
-                        assert classes == g2, case
-                        built_g2 += isinstance(g2, Counter)
-    assert (built_g2, spill) == (2133, 462)
+                    assert _classes_or_refusal(_g2_layout, *case) == g2, case
+                    built_g2 += isinstance(g2, Counter)
+    assert built_g2 == 2595
 
 
 def test_quasi_star_beats_quasi_clique_small_m():

@@ -168,7 +168,6 @@ def test_construction_density_matches_graphs():
 
 
 def test_g_family_density_matches_graphs():
-    # edge budget chosen so the g2 remainder stays inside the clique
     n = 40
     p = DensityPoint(510 / comb(n, 2), 0.2, 0.2)
     edge_d, cherry_d = construction_density(n, p, "g2")
@@ -184,16 +183,17 @@ def test_g_family_density_matches_graphs():
 
 def test_g2_density_handles_remainder_spill():
     """When the leftover edges outnumber the clique, the extra vertex also
-    reaches into the independent block; the class bookkeeping must match a
-    hand-built copy of that layout."""
+    reaches into the independent block; the class bookkeeping must match
+    both a hand-built copy of that layout and g2_family's graph."""
     n, ell, a, b = 12, 3, 4, 5
     m = a * ell + comb(a, 2) + b
-    assert b > a  # the g2_family generator itself rejects this shape
+    assert b > a
     edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
     edges += [(u, w) for u in range(a) for w in range(a, a + ell)]
     edges += [(v, a + ell) for v in range(b)]
     spill = Graph(n, edges)
     assert spill.num_edges == m
+    assert g2_family(n, m, ell, 2).edges == spill.edges
 
     p = DensityPoint(m / comb(n, 2), ell / n, 2 / n)
     assert construction_density(n, p, "g2") == densities(spill)
@@ -221,14 +221,19 @@ def test_convergence_quasi_star():
     assert rows[1]["error"] < rows[0]["error"]
 
 
+def _csv_rows(grid) -> list[dict]:
+    return list(csv.DictReader(io.StringIO("".join(grid.csv_chunks()))))
+
+
 def test_scan_axis_forms():
-    rows = scan((0.68, 0.70, 0.01), 0.2, 0.2)
-    assert len(rows) == 3  # inclusive endpoints
-    assert rows[0]["rho"] == pytest.approx(0.68)
-    assert rows[-1]["rho"] == pytest.approx(0.70)
+    grid = scan((0.68, 0.70, 0.01), 0.2, 0.2)
+    rows = _csv_rows(grid)
+    assert len(grid) == len(rows) == 3  # inclusive endpoints
+    assert float(rows[0]["rho"]) == pytest.approx(0.68)
+    assert float(rows[-1]["rho"]) == pytest.approx(0.70)
     assert all(row["best"] == "g2" for row in rows)
-    assert {"rho", "alpha", "beta", "quasi_star", "g1", "g2",
-            "g1_feasible", "max_value", "best"} <= set(rows[0])
+    assert list(rows[0]) == ["rho", "alpha", "beta", "quasi_star", "g1", "g2",
+                             "g1_feasible", "max_value", "best"]
 
     grid = scan((0.6, 0.7, 0.05), (0.1, 0.2, 0.1), 0.2)
     assert len(grid) == 3 * 2
@@ -273,19 +278,19 @@ SCAN_GRIDS = [
 @pytest.mark.parametrize("block", [7, 1 << 14])
 @pytest.mark.parametrize("axes", SCAN_GRIDS)
 def test_scan_rows_equal_scalar_reference(monkeypatch, axes, block):
-    """Every vectorised row equals the scalar row exactly, at any block size."""
+    """The streamed CSV and JSON text equal csv.DictWriter's and json.dumps'
+    rendering of the scalar rows byte for byte, at any block size, so 0
+    differs from 0.0 and None from ""."""
     monkeypatch.setattr(density, "_BLOCK", block)
     expected = scalar_scan(*axes)
     grid = scan(*axes)
     assert len(grid) == len(expected)
-    rows = list(grid)
-    for got, want in zip(rows, expected):
-        assert got == want
-        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
-    assert grid[0] == expected[0] and grid[-1] == expected[-1]
-    assert grid[len(grid) // 2] == expected[len(grid) // 2]
-    with pytest.raises(IndexError):
-        grid[len(grid)]
+    sink = io.StringIO()
+    writer = csv.DictWriter(sink, fieldnames=list(expected[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(expected)
+    assert "".join(grid.csv_chunks()) == sink.getvalue()
+    assert "".join(grid.json_chunks()) == json.dumps(expected, indent=2)
 
 
 def test_scan_reference_grid_covers_the_cases():

@@ -8,7 +8,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from cherrymax import oracle
-from cherrymax.constructions import ConstructionError, ak_bipartite
+from cherrymax.constructions import ConstructionError, ak_bipartite, g1_family, g2_family
 from cherrymax.graph_core import (
     BipartiteGraph,
     Graph,
@@ -423,11 +423,58 @@ def test_general_matches_slow_reference():
 
 
 def test_general_prediction_labels():
-    graph, label = predicted_general(8, 5, 2, 2)
-    assert label in ("G1", "G2", "G1=G2")
-    assert graph.num_edges == 5
-    none_graph, none_label = predicted_general(4, 6, 2, 3)
-    assert none_graph is None and none_label is None
+    assert predicted_general(8, 5, 2, 2) == (26, "G1=G2")
+    assert predicted_general(5, 8, 2, 1) == (54, "G2")  # the remainder spills, b > a
+    assert predicted_general(4, 6, 2, 3) == (None, None)
+
+
+def _graph_built_prediction(n, m, ell, k):
+    """(Z1, label) of the better of G1 and G2 built as graphs: the layout
+    scoring's reference."""
+    cands = []
+    for label, builder in (("G1", g1_family), ("G2", g2_family)):
+        try:
+            cands.append((z1_index(builder(n, m, ell, k)), label))
+        except ConstructionError:
+            pass
+    if not cands:
+        return None, None
+    best = max(z1 for z1, _ in cands)
+    return best, "=".join(label for z1, label in cands if z1 == best)
+
+
+def test_general_prediction_equals_graph_built_reference():
+    for n in range(10):
+        for m in range(n * (n - 1) // 2 + 1):
+            for ell in range(n + 1):
+                for k in range(n + 1):
+                    case = (n, m, ell, k)
+                    assert predicted_general(*case) == _graph_built_prediction(*case), case
+
+
+def test_general_prediction_covers_the_witness_cells():
+    """Every feasible cell with 2 <= n <= 7 and ell >= 1 has a prediction,
+    and none is above the exact optimum."""
+    missing, above, exact, below = [], [], 0, 0
+    for n in range(2, 8):
+        table = general_max_table(n)
+        for ell in range(1, n + 1):
+            for k in range(n):
+                for m in range(n * (n - 1) // 2 + 1):
+                    best = int(table[ell, k, m])
+                    if best < 0:
+                        continue
+                    z1, _ = predicted_general(n, m, ell, k)
+                    if z1 is None:
+                        missing.append((n, m, ell, k))
+                    elif z1 > best:
+                        above.append((n, m, ell, k))
+                    elif z1 == best:
+                        exact += 1
+                    else:
+                        below += 1
+    assert missing == [] and above == []
+    assert (exact, below) == (614, 99)
 
 
 def test_general_max_table_matches_pointwise():
