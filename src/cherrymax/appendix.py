@@ -389,6 +389,24 @@ class _DerivativeCheck:
         }
 
 
+def _box_margins(reg: _LemmaDef, d, a, x):
+    """Margins and in-box mask of one block, both broadcast to its shape.
+
+    The third item is (y, f, valid, claimed) for the lemmas that solve for
+    y, None for A1.
+    """
+    shape = (d.size, a.size, x.size)
+    if reg.x_range is None:
+        margins = np.broadcast_to(bound_value(a, d) - quasi_star_scaled(d), shape)
+        return margins, np.ones(shape, dtype=bool), None
+    y, valid = reg.y_solve(d, a, x)
+    f = reg.f(d, a, x, y)
+    claimed = _claimed_max(reg, d, a)
+    in_box = valid & (y >= -_SLACK) & (y <= 1 - a + _SLACK) & reg.extra_box(d, a, x, y)
+    margins = np.broadcast_to(claimed - f, shape)
+    return margins, np.broadcast_to(in_box, shape), (y, f, valid, claimed)
+
+
 class _MarginCheck:
     """Min margins, counts and residuals of one lemma, block by block."""
 
@@ -410,36 +428,21 @@ class _MarginCheck:
     def update(self, d, a, x):
         """Check one block; return (f, valid) at its nodes, or None for A1."""
         reg, stats = self.reg, self.stats
-        shape = (d.size, a.size, x.size)
+        margins, in_box, solved = _box_margins(reg, d, a, x)
+        boundary = np.zeros(margins.shape, dtype=bool)
         centre = None
-        if reg.x_range is None:
-            margins = np.broadcast_to(bound_value(a, d) - quasi_star_scaled(d), shape)
-            in_box = np.ones(shape, dtype=bool)
-            boundary = np.zeros(shape, dtype=bool)
-        else:
-            y, valid = reg.y_solve(d, a, x)
-            f = reg.f(d, a, x, y)
+        if solved is not None:
+            y, f, valid, claimed = solved
             centre = f, valid
-            claimed = _claimed_max(reg, d, a)
-            in_box = (
-                valid
-                & (y >= -_SLACK)
-                & (y <= 1 - a + _SLACK)
-                & reg.extra_box(d, a, x, y)
-            )
-            in_box = np.broadcast_to(in_box, shape)
-            margins = np.broadcast_to(claimed - f, shape)
-            if reg.boundary is None:
-                boundary = np.zeros(shape, dtype=bool)
-            else:
-                boundary = np.broadcast_to(reg.boundary(d, a, x, y), shape) & in_box
+            if reg.boundary is not None:
+                boundary = np.broadcast_to(reg.boundary(d, a, x, y), margins.shape) & in_box
             if in_box.any():
-                res = np.broadcast_to(np.abs(reg.residual(d, a, x, y)), shape)
+                res = np.broadcast_to(np.abs(reg.residual(d, a, x, y)), margins.shape)
                 stats["residual_max"] = max(
                     stats["residual_max"], float(res[in_box].max())
                 )
                 if self.lemma == "A2":
-                    diff = np.broadcast_to(np.abs(f - closed_form_a2(d, a, x)), shape)
+                    diff = np.broadcast_to(np.abs(f - closed_form_a2(d, a, x)), margins.shape)
                     stats["closed_form_max_diff"] = max(
                         stats["closed_form_max_diff"], float(diff[in_box].max())
                     )
@@ -462,6 +465,21 @@ class _MarginCheck:
         return centre
 
 
+def _grid_blocks(reg: _LemmaDef, steps: int):
+    """The (d, a, x) grid of a lemma in row-major blocks (_slices), as
+    broadcastable (d, a, x, first) with first true on a plane's first a-row."""
+    d_nodes = np.linspace(*D_RANGE, steps + 1)
+    a_nodes = np.linspace(*reg.a_range, steps + 1)
+    if reg.x_range is None:
+        x = np.zeros((1, 1, 1))
+    else:
+        x = np.linspace(*reg.x_range, steps + 1).reshape(1, 1, -1)
+    for d_part, a_part in _slices((d_nodes.size, a_nodes.size, x.size)):
+        d = d_nodes[d_part].reshape(-1, 1, 1)
+        a = a_nodes[a_part].reshape(1, -1, 1)
+        yield d, a, x, a_part.start == 0
+
+
 def _margin_sweep(lemma: str, steps: int, claims: tuple = ()):
     """Walk the (d, a, x) grid once for the margins and the given claims.
 
@@ -470,23 +488,26 @@ def _margin_sweep(lemma: str, steps: int, claims: tuple = ()):
     as its centre value.
     """
     reg = _lemma(lemma)
-    d_nodes = np.linspace(*D_RANGE, steps + 1)
-    a_nodes = np.linspace(*reg.a_range, steps + 1)
-    if reg.x_range is None:
-        x = np.zeros((1, 1, 1))
-    else:
-        x = np.linspace(*reg.x_range, steps + 1).reshape(1, 1, -1)
     sweep = _MarginCheck(lemma)
     checks = [_DerivativeCheck(reg, claim, steps) for claim in claims]
-    for d_part, a_part in _slices((d_nodes.size, a_nodes.size, x.size)):
-        d = d_nodes[d_part].reshape(-1, 1, 1)
-        a = a_nodes[a_part].reshape(1, -1, 1)
+    for d, a, x, first in _grid_blocks(reg, steps):
         centre = sweep.update(d, a, x)
         for check in checks:
             shared = (check.lo, check.hi) == reg.x_range
-            check.update(d, a, a_part.start == 0, centre if shared else None)
+            check.update(d, a, first, centre if shared else None)
     reports = [check.report() for check in checks]
     return sweep.overall, sweep.interior, sweep.stats, reports
+
+
+def _min_margin(lemma: str, steps: int) -> float:
+    """The overall minimum margin of _margin_sweep, from the margins and
+    in-box mask alone: the refinement pass needs nothing else."""
+    reg = _lemma(lemma)
+    overall = _MinTracker()
+    for d, a, x, _ in _grid_blocks(reg, steps):
+        margins, in_box, _ = _box_margins(reg, d, a, x)
+        overall.update(margins, in_box, (("d", d), ("a", a), ("x", x)))
+    return overall.value
 
 
 def a1_corner_expected() -> float:
@@ -535,7 +556,8 @@ def check_lemma(lemma: str, steps: int = 100, *, cap: int = DEFAULT_BIT_CAP) -> 
     overall, interior, stats, derivative_checks = _margin_sweep(
         lemma, steps, reg.deriv_claims
     )
-    coarse_overall = _margin_sweep(lemma, max(10, steps // 2))[0]
+    coarse_steps = max(10, steps // 2)
+    coarse_min = _min_margin(lemma, coarse_steps)
 
     extras: dict = {}
     if lemma == "A1":
@@ -595,9 +617,9 @@ def check_lemma(lemma: str, steps: int = 100, *, cap: int = DEFAULT_BIT_CAP) -> 
         derivative_checks=derivative_checks,
         extras=extras,
         refinement={
-            "coarse_steps": max(10, steps // 2),
-            "coarse_min_margin": coarse_overall.value,
-            "delta": overall.value - coarse_overall.value,
+            "coarse_steps": coarse_steps,
+            "coarse_min_margin": coarse_min,
+            "delta": overall.value - coarse_min,
         },
         passed=ok,
         wall_time_s=time.perf_counter() - start,

@@ -5,6 +5,11 @@ verify-theorem, density, verify-appendix.  All outputs are machine
 readable (JSON objects or CSV rows); verification commands exit 0 only
 when every checked row passes, 1 on a mismatch, and 2 on usage errors.
 
+This module imports only the standard library and graph_core.  Each
+handler imports the modules it runs (constructions, shifting, oracle,
+density, appendix) when it runs, so a command pays neither the import of
+numpy nor the compile of a module it never calls.
+
 Global options may also come from a key=value config file, passed with
 --config or the CHERRYMAX_CONFIG environment variable; explicit flags win
 over the file.  Identical inputs produce byte-identical outputs except
@@ -20,18 +25,8 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import oracle, shifting
-from .constructions import (
-    BipartiteFamilyParams,
-    ak_bipartite,
-    b1_family,
-    b2_family,
-    g1_family,
-    g2_family,
-    quasi_clique,
-    quasi_star,
-)
 from .graph_core import (
+    DEFAULT_BIT_CAP,
     BipartiteGraph,
     ConstraintWitness,
     SearchCapExceededError,
@@ -53,7 +48,7 @@ def _format(value: str) -> str:
 
 
 _CONFIG_KEYS = {"jobs": int, "cap": int, "format": _format}
-_DEFAULTS = {"jobs": 1, "cap": oracle.DEFAULT_BIT_CAP}
+_DEFAULTS = {"jobs": 1, "cap": DEFAULT_BIT_CAP}
 
 
 class UsageError(Exception):
@@ -168,29 +163,38 @@ def _require(args: argparse.Namespace, names: list[str], usage: str) -> list[int
 
 
 def _cmd_construct(args) -> int:
+    if args.m is not None and args.m > 1 << args.cap:
+        # m is every family's edge count, so the graph is refused unbuilt
+        raise SearchCapExceededError(
+            f"construct of {args.m} edges exceeds the cap of 2^{args.cap}"
+        )
+    from . import constructions
+
     family = args.family
     if family == "quasi-clique":
         n, m = _require(args, ["n", "m"], "cherrymax construct quasi-clique --n 6 --m 7")
-        g = quasi_clique(n, m)
+        g = constructions.quasi_clique(n, m)
     elif family == "quasi-star":
         n, m = _require(args, ["n", "m"], "cherrymax construct quasi-star --n 6 --m 7")
-        g = quasi_star(n, m)
+        g = constructions.quasi_star(n, m)
     elif family == "ak-bipartite":
         r, s, m = _require(args, ["r", "s", "m"], "cherrymax construct ak-bipartite --r 4 --s 3 --m 5")
-        g = ak_bipartite(r, s, m)
+        g = constructions.ak_bipartite(r, s, m)
     elif family in ("b1", "b2"):
         r, s, m, ell, k = _require(
             args, ["r", "s", "m", "ell", "k"],
             f"cherrymax construct {family} --r 4 --s 3 --m 6 --ell 2 --k 2",
         )
-        params = BipartiteFamilyParams(r, s, m, ell, k)
-        g = b1_family(params) if family == "b1" else b2_family(params)
+        params = constructions.BipartiteFamilyParams(r, s, m, ell, k)
+        build = constructions.b1_family if family == "b1" else constructions.b2_family
+        g = build(params)
     elif family in ("g1", "g2"):
         n, m, ell, k = _require(
             args, ["n", "m", "ell", "k"],
             f"cherrymax construct {family} --n 8 --m 5 --ell 2 --k 2",
         )
-        g = (g1_family if family == "g1" else g2_family)(n, m, ell, k)
+        build = constructions.g1_family if family == "g1" else constructions.g2_family
+        g = build(n, m, ell, k)
     else:  # pragma: no cover - argparse choices guard this
         raise UsageError(f"unknown family {family!r}")
     _emit(args, _graph_payload(g) if args.format == "json" else _edges_rows(g))
@@ -238,6 +242,8 @@ def _cmd_shift(args) -> int:
         raise SearchCapExceededError(
             f"shift of {cells} matrix cells exceeds the cap of 2^{args.cap}"
         )
+    from . import shifting
+
     vertices = _parse_witness(args.witness)
     witness = ConstraintWitness(vertices, len(vertices), args.degree_floor)
     before = z1_index(g)
@@ -276,6 +282,8 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_maximize(args) -> int:
+    from . import oracle
+
     if args.family in ("bipartite-left", "bipartite-right"):
         r, s, ell, k, m = _require(
             args, ["r", "s", "ell", "k", "m"],
@@ -303,6 +311,8 @@ def _cmd_verify_theorem(args) -> int:
         raise UsageError(
             f"--max-size must be at least {smallest} for theorem {args.theorem}, got {size}"
         )
+    from . import oracle
+
     if args.theorem == "1.1":
         rows = oracle.verify_theorem_11(tuple(range(2, size + 1)), cap=args.cap)
     elif args.theorem == "1.6":
@@ -340,7 +350,6 @@ def _kv_map(tokens: list[str], allowed: set[str], usage: str) -> dict:
 
 
 def _cmd_density(args) -> int:
-    # imported here, as appendix is, so that the other commands do not load it
     from . import density
 
     if args.scan is not None:
@@ -378,7 +387,6 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
-    # imported here so that the other commands neither parse nor hold it
     from . import appendix
 
     if args.lemma == "interior":
@@ -415,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--cap", type=int, default=None,
         help="log2 of the largest search space: masks, shifted-mode table cells,"
-        " shift matrix cells, density --scan grid points, or verify-appendix grid"
-        " nodes, (steps+1)^3",
+        " shift matrix cells, construct edges, density --scan grid points, or"
+        " verify-appendix grid nodes, (steps+1)^3",
     )
     common.add_argument("--config", help=f"key=value config file (also {CONFIG_ENV})")
 

@@ -14,7 +14,8 @@ the grid from its axes and refuses one of more than 2^cap points; the
 ``ScanGrid`` it returns evaluates the points in numpy, a fixed-size block
 at a time, and streams them as CSV or JSON text, so memory is set by the
 block, not the grid.  The values equal the scalar formulas bit for bit
-(see "grid scans" below).
+(see "grid scans" below).  numpy is imported only by the scan code, so
+the formulas and the convergence tables load without it.
 
 Finite-n densities are computed exactly from degree classes (each family
 has at most five distinct degrees), so convergence experiments run at any
@@ -30,8 +31,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, inf, isfinite, prod, sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constructions import (
     ConstructionError,
@@ -41,6 +41,9 @@ from .constructions import (
     _quasi_star_layout,
 )
 from .graph_core import DEFAULT_BIT_CAP, SearchCapExceededError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SLACK = 1e-12
 _TIE_BAND = 1e-9
@@ -193,7 +196,7 @@ def _winner_label(code: int) -> str:
 
 
 # indexed by a bit mask of the expressions within _TIE_BAND of the max
-_LABELS = np.array([_winner_label(code) for code in range(8)], dtype=object)
+_LABELS = tuple(_winner_label(code) for code in range(8))
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,8 @@ class _Axis:
         Point p sits at axis index (p // stride) % size, so a block touches
         at most stop - start values.
         """
+        import numpy as np
+
         q = np.arange(start, stop) // stride
         first = start // stride
         span = (stop - 1) // stride - first + 1
@@ -247,6 +252,8 @@ def _axis(axis, name: str) -> _Axis:
 
 def _sqrt0(x: np.ndarray) -> np.ndarray:
     """sqrt(max(x, 0.0)), elementwise and with Python's max on signed zeros."""
+    import numpy as np
+
     return np.sqrt(np.where(x < 0.0, 0.0, x))
 
 
@@ -304,6 +311,8 @@ class ScanGrid:
 
     def _columns(self, start: int, stop: int) -> list[list[str]]:
         """The _FIELDS columns of points [start, stop), as CSV text."""
+        import numpy as np
+
         rho_axis, alpha_axis, beta_axis = self._axes
         rhos, ir = rho_axis.slots(start, stop, alpha_axis.size * beta_axis.size)
         alphas, ia = alpha_axis.slots(start, stop, beta_axis.size)
@@ -338,7 +347,7 @@ class ScanGrid:
         feasible_col = np.where(feasible, "True", "False")
         columns = (
             column(rhos, ir), column(alphas, ia), column(betas, ib), qs_col,
-            g1_col, g2_col, feasible_col, max_col, _LABELS[code],
+            g1_col, g2_col, feasible_col, max_col, np.array(_LABELS, dtype=object)[code],
         )
         return [col.tolist() for col in columns]
 

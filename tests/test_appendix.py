@@ -178,3 +178,14 @@ def test_slice_seams_leave_reports_unchanged(monkeypatch, steps, budget):
     monkeypatch.setattr(appendix, "_SLICE_NODES", budget(steps + 1))
     got = [_without_wall_time(check_lemma(lemma, steps)) for lemma in LEMMA_IDS]
     assert got == expected
+
+
+@pytest.mark.parametrize("steps", [20, 31])
+@pytest.mark.parametrize("lemma", LEMMA_IDS)
+def test_coarse_min_margin_is_the_full_sweep_minimum(lemma, steps):
+    """The refinement pass keeps only the minimum, and it equals, bit for
+    bit, the overall minimum of a full sweep at the coarse step."""
+    refinement = check_lemma(lemma, steps).refinement
+    full = appendix._margin_sweep(lemma, refinement["coarse_steps"])[0].value
+    assert refinement["coarse_steps"] == max(10, steps // 2)
+    assert refinement["coarse_min_margin"].hex() == full.hex()

@@ -172,6 +172,20 @@ def test_construct_large_quasi_star(capsys):
     assert payload["n"] == 2000 and len(payload["edges"]) == 5
 
 
+@pytest.mark.parametrize("m, code", [("8", 0), ("9", 2)])
+def test_construct_honours_cap(monkeypatch, capsys, m, code):
+    """m is the edge count, so more than 2^cap edges exit 2 before any
+    construction runs; 2^3 = 8 edges are still built."""
+    if code:
+        monkeypatch.setattr(cherrymax.constructions, "quasi_clique", None)
+    got, out, err = run_cli(capsys, "construct", "quasi-clique", "--n", "6", "--m", m, "--cap", "3")
+    assert got == code
+    if code:
+        assert out == "" and err == "error: construct of 9 edges exceeds the cap of 2^3\n"
+    else:
+        assert err == "" and len(json.loads(out)["edges"]) == 8
+
+
 def test_maximize_matches_library(capsys):
     code, out, _ = run_cli(
         capsys, "maximize", "--family", "bipartite-left",
@@ -253,7 +267,7 @@ def test_verify_theorem_smallest_size_checks_rows(capsys, theorem, size):
 
 def test_verify_theorem_mismatch_exits_one(monkeypatch, capsys):
     rows = [{"n": 4, "m": 2, "oracle_z1": 4, "predicted_z1": 6, "match": False}]
-    monkeypatch.setattr(cli.oracle, "verify_theorem_11", lambda sizes, cap=None: rows)
+    monkeypatch.setattr(cherrymax.oracle, "verify_theorem_11", lambda sizes, cap=None: rows)
     code, out, _ = run_cli(capsys, "verify-theorem", "--theorem", "1.1")
     assert code == 1
     assert "False" in out
