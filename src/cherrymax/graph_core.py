@@ -204,10 +204,22 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
 
 
+def _json_fields(obj, kind: str, sizes: tuple[str, ...]) -> tuple[list[int], list[tuple[int, int]]]:
+    """The sizes and the edge pairs of a graph JSON object, all JSON integers."""
+    if not isinstance(obj, dict) or not {*sizes, "edges"} <= set(obj):
+        raise ValueError(f"{kind} JSON must have keys {', '.join(map(repr, sizes))} and 'edges'")
+    edges = obj["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError("'edges' must be a list of [u, v] pairs")
+    for value in [obj[key] for key in sizes] + [x for e in edges for x in e]:
+        if type(value) is not int:  # not bool either, which JSON true and false load as
+            raise ValueError(f"sizes and edge endpoints must be JSON integers, got {value!r}")
+    return [obj[key] for key in sizes], [tuple(e) for e in edges]
+
+
 def graph_from_json(obj: dict) -> Graph:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise ValueError("graph JSON must have keys 'n' and 'edges'")
-    return Graph(int(obj["n"]), {(int(u), int(v)) for u, v in obj["edges"]})
+    (n,), edges = _json_fields(obj, "graph", ("n",))
+    return Graph(n, edges)
 
 
 def bipartite_to_json(b: BipartiteGraph) -> dict:
@@ -215,13 +227,12 @@ def bipartite_to_json(b: BipartiteGraph) -> dict:
 
 
 def bipartite_from_json(obj: dict) -> BipartiteGraph:
-    if not isinstance(obj, dict) or not {"r", "s", "edges"} <= set(obj):
-        raise ValueError("bipartite JSON must have keys 'r', 's' and 'edges'")
-    return BipartiteGraph(int(obj["r"]), int(obj["s"]), {(int(i), int(j)) for i, j in obj["edges"]})
+    (r, s), edges = _json_fields(obj, "bipartite", ("r", "s"))
+    return BipartiteGraph(r, s, edges)
 
 
 def from_json_obj(obj: dict) -> Graph | BipartiteGraph:
     """Auto-detect the serialized type by its keys."""
-    if "r" in obj and "s" in obj:
+    if isinstance(obj, dict) and "r" in obj and "s" in obj:
         return bipartite_from_json(obj)
     return graph_from_json(obj)

@@ -37,7 +37,9 @@ chunking or worker count), and the construction the relevant bound
 predicts for those parameters.  Theorem sweeps and general-graph queries
 score every prediction from its construction's layout and build no graph;
 the bipartite sweeps read the column filling, which does not depend on
-the witness, from one table per shape.
+the witness, from one table per shape.  The unconstrained bounds are the
+searches at (ell, k) = (0, 0), whose pair holds for every graph and calls
+no witness: theorem 1.6 is the (0, 0) rows of theorem 1.7's sweep.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ _CHUNK_BITS = 18
 # per vertex, one column per mask) and chunk.masks only if it needs them,
 # and neither is built otherwise.  A mask satisfies the pair (floor, need)
 # when its level at that floor is at least need, so pairs sharing a floor
-# share one witness evaluation.  Levels count vertices and stay below
-# len(incidence) + 1.
+# share one witness evaluation, and a floor whose pairs all need 0 takes
+# none.  Levels count vertices and stay below len(incidence) + 1.
 
 
 def _check_bits(bits: int, cap: int) -> None:
@@ -338,7 +340,9 @@ def _scan_chunk(task):
     ends = np.cumsum([block.size for block, _ in joins]).tolist()
     chunk = _Chunk([(highs[end - block.size:end], lows[part])
                     for (block, part), end in zip(joins, ends)], low_bits)
-    levels = {floor: witness(chunk, floor) for floor in dict.fromkeys(f for f, _ in pairs)}
+    needed = {floor for floor, need in pairs if need}
+    levels = {floor: witness(chunk, floor) if floor in needed else np.zeros(chunk.size, dtype=np.uint8)
+              for floor in dict.fromkeys(f for f, _ in pairs)}
     if m is not None:
         if rows is None:
             return _best_at_m(chunk, levels, pairs, np.ones_like)
@@ -417,11 +421,6 @@ def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CA
         with Pool(len(head)) as pool:
             return reduce(_merge, pool.imap_unordered(_scan_chunk, tasks))
     return reduce(_merge, map(_scan_chunk, tasks))
-
-
-def _unconstrained(chunk, floor):
-    """Witness met by every graph, with the one pair (0, 0)."""
-    return np.zeros(chunk.size, dtype=np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -680,10 +679,8 @@ def _general_pair(ell: int, k: int) -> tuple[int, int]:
 
 def _independent_level(n, chunk, ell):
     """Kernel witness: 1 + the largest minimum degree of an independent
-    ell-set, 0 when there is none (and for ell = 0, see _general_pair)."""
+    ell-set, 0 when there is none.  ell = 0 asks for no witness (_general_pair)."""
     level = np.zeros(chunk.size, dtype=np.uint8)
-    if ell == 0:
-        return level
     masks, deg = chunk.masks, chunk.deg
     for sub in combinations(range(n), ell):
         inside = sum(1 << _pair_bit(u, v, n) for u, v in combinations(sub, 2))
@@ -715,7 +712,10 @@ def predicted_general(n: int, m: int, ell: int, k: int):
 def max_cherries_general(n, m, ell, k, *, jobs=1, cap=DEFAULT_BIT_CAP) -> OracleReport:
     """Max cherry count over n-vertex m-edge graphs with an independent
     ell-set of minimum degree k, compared against the best construction."""
-    if not 0 <= m <= comb(n, 2):
+    for name, value in (("n", n), ("m", m), ("ell", ell), ("k", k)):
+        if value < 0:
+            raise ConstructionError(f"{name}={value} must be nonnegative")
+    if m > comb(n, 2):
         raise ConstructionError(f"m={m} out of range for n={n}")
     if ell > n or (ell > 0 and k > n - ell):
         raise ConstructionError("witness cannot fit")
@@ -761,7 +761,8 @@ def verify_theorem_11(n_values=(4, 5, 6, 7), *, cap: int = DEFAULT_BIT_CAP) -> l
     the better of quasi-star and quasi-clique, scored from their layouts."""
     rows = []
     for n in n_values:
-        (best,), _, _ = _scan(comb(n, 2), _vertex_masks(n), _unconstrained, [(0, 0)], cap=cap)
+        witness = partial(_independent_level, n)
+        (best,), _, _ = _scan(comb(n, 2), _vertex_masks(n), witness, [(0, 0)], cap=cap)
         for m, oracle_z1 in enumerate(best.tolist()):
             star = _layout_z1(n, _quasi_star_layout(n, m))
             clique = _layout_z1(n, _quasi_clique_layout(n, m))
@@ -788,38 +789,24 @@ def _wide_pairs(max_cells: int):
 
 
 def verify_theorem_16(max_cells: int = 20, *, cap: int = DEFAULT_BIT_CAP) -> list[dict]:
-    """Unconstrained bipartite graphs: column filling is extremal."""
-    rows = []
-    for r, s in _wide_pairs(max_cells):
-        (best,), _, _ = _scan(
-            r * s, _bipartite_incidence(r, s), _unconstrained, [(0, 0)], cap=cap, rows=r
-        )
-        filling = _column_filling(r, s)
-        for m, oracle_z1 in enumerate(best.tolist()):
-            predicted = filling[m][2]
-            rows.append(
-                {
-                    "r": r,
-                    "s": s,
-                    "m": m,
-                    "oracle_z1": oracle_z1,
-                    "predicted_z1": predicted,
-                    "match": oracle_z1 == predicted,
-                }
-            )
-    return rows
+    """Unconstrained bipartite graphs: column filling is extremal.  These are
+    theorem 1.7's rows at (ell, k) = (0, 0), in six of its columns."""
+    columns = ("r", "s", "m", "oracle_z1", "predicted_z1", "match")
+    rows = _verify_constrained(max_cells, "left", cap, [(0, 0)])
+    return [{key: row[key] for key in columns} for row in rows]
 
 
-def _verify_constrained(max_cells: int, side: str, cap: int) -> list[dict]:
+def _verify_constrained(max_cells: int, side: str, cap: int, cases=None) -> list[dict]:
+    """Rows of every r x s shape for the (ell, k) in cases, by default every ell >= k."""
     rows = []
     for r, s in _wide_pairs(max_cells):
-        cases = [(ell, k) for k in range(s + 1) for ell in range(k, r + 1)]
+        run = cases or [(ell, k) for k in range(s + 1) for ell in range(k, r + 1)]
         table, _, _ = _scan(
             r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
-            [_floor_need(side, ell, k) for ell, k in cases], cap=cap, rows=r,
+            [_floor_need(side, ell, k) for ell, k in run], cap=cap, rows=r,
         )
         filling = _column_filling(r, s)
-        for (ell, k), best in zip(cases, table.tolist()):
+        for (ell, k), best in zip(run, table.tolist()):
             predictions = _predictions(r, s, ell, k, filling)
             for m, (branch, row_degrees, col_degrees, pz1) in enumerate(predictions, k * ell):
                 rows.append(

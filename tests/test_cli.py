@@ -1,5 +1,6 @@
 """End-to-end checks of the command line surface."""
 
+import io
 import json
 import os
 import random
@@ -33,6 +34,27 @@ def test_count_triangle(tmp_path, capsys):
     code, out, err = run_cli(capsys, "count", "--input", path)
     assert code == 0 and err == ""
     assert json.loads(out) == {"edges": 3, "cherries": 3, "z1": 12}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [5]}',
+        '{"n": 3, "edges": [[0, null]]}',
+        '{"n": null, "edges": [[0, 1]]}',
+        '{"n": 3.7, "edges": [[0, 1.9]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+        '{"r": 2, "s": true, "edges": []}',
+        '{"r": 2, "s": 2, "edges": [[0, "1"]]}',
+        "5",
+    ],
+)
+def test_count_refuses_malformed_graph_json(monkeypatch, capsys, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "count", "--input", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_construct_count_round_trip(tmp_path, capsys):
@@ -207,6 +229,23 @@ def test_maximize_general_predicts_g2_with_remainder_spill(capsys):
     assert payload["predicted_branch"] == "G2"
     assert payload["predicted_z1"] == payload["optimum_z1"] == 54
     assert payload["match"] is True
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (("--n", "-1"), "n"),
+        (("--m", "-2"), "m"),
+        (("--ell", "-1", "--k", "1"), "ell"),
+        (("--ell", "0", "--k", "-4"), "k"),
+    ],
+)
+def test_maximize_general_refuses_negative_parameters(capsys, flags, name):
+    code, out, err = run_cli(
+        capsys, "maximize", "--family", "general", "--n", "5", "--m", "4", "--ell", "1", "--k", "1", *flags,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name}=-") and "nonnegative" in err
 
 
 def test_maximize_general_rejects_shifted_mode(capsys):

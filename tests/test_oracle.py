@@ -255,7 +255,7 @@ def _reference_scan(bits, incidence, level, pairs):
 def _bipartite_cases(r, s):
     """(kernel witness, reference level, pairs) on r x s graphs: no
     witness, then either side's witness over all pairs."""
-    yield oracle._unconstrained, lambda deg, mask, floor: 0, [(0, 0)]
+    yield functools.partial(oracle._bipartite_level, r, "left"), lambda deg, mask, floor: 0, [(0, 0)]
     for side in ("left", "right"):
         pairs = [oracle._floor_need(side, ell, k) for k in range(s + 1) for ell in range(r + 1)]
 
@@ -307,6 +307,24 @@ def test_scan_matches_per_mask_reference(monkeypatch):
                 want = ([best.get(k, -1) for k in keys], [count.get(k, 0) for k in keys],
                         [first.get(k, 0) for k in keys])
                 assert tuple(x.tolist() for x in got) == want, (*case, m)
+
+
+def _refuse(chunk, floor):
+    raise AssertionError(f"witness called at floor {floor}")
+
+
+def test_scan_needs_no_witness_for_need_zero():
+    """A pair that needs 0 vertices holds for every mask: with the pair
+    (0, 0) the kernel never calls the witness, on row orbits or on plain
+    masks, and gives the reference table."""
+    searches = ((9, oracle._bipartite_incidence(3, 3), {"rows": 3}), (10, oracle._vertex_masks(5), {}))
+    for bits, incidence, source in searches:
+        best, count, first = _reference_scan(bits, incidence, lambda deg, mask, floor: 0, [(0, 0)])
+        table, _, _ = oracle._scan(bits, incidence, _refuse, [(0, 0)], **source)
+        assert table.tolist() == [[best[0, e] for e in range(bits + 1)]], bits
+        for m in range(bits + 1):
+            got = oracle._scan(bits, incidence, _refuse, [(0, 0)], m=m, **source)
+            assert tuple(x.tolist() for x in got) == ([best[0, m]], [count[0, m]], [first[0, m]])
 
 
 def _orbit_splits(record):
@@ -506,7 +524,8 @@ def _ref_theorem_16(max_cells):
     rows = []
     for r, s in oracle._wide_pairs(max_cells):
         (best,), _, _ = oracle._scan(
-            r * s, oracle._bipartite_incidence(r, s), oracle._unconstrained, [(0, 0)], rows=r
+            r * s, oracle._bipartite_incidence(r, s),
+            functools.partial(oracle._bipartite_level, r, "left"), [(0, 0)], rows=r,
         )
         for m, oracle_z1 in enumerate(best.tolist()):
             predicted = z1_index(ak_bipartite(r, s, m))
