@@ -314,7 +314,7 @@ def _cmd_verify_theorem(args) -> int:
     from . import oracle
 
     if args.theorem == "1.1":
-        rows = oracle.verify_theorem_11(tuple(range(2, size + 1)), cap=args.cap)
+        rows = oracle.verify_theorem_11(range(2, size + 1), cap=args.cap)
     elif args.theorem == "1.6":
         rows = oracle.verify_theorem_16(size, cap=args.cap)
     elif args.theorem == "1.7":
@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     try:
         _resolve_options(args, args.default_format)
         return args.handler(args)
-    except (UsageError, SearchCapExceededError, ValueError, FileNotFoundError) as exc:
+    except (UsageError, SearchCapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,16 +3,19 @@
 Graphs are enumerated as edge bitmasks and reduced with numpy.  A bipartite
 graph on r x s cells is the mask with bit i*s + j set for edge (i, j); a
 general graph on n vertices uses one bit per vertex pair in lexicographic
-order.  Degrees are popcounts against per-vertex incidence masks.  Every
-search, point query or theorem sweep, runs through the one chunked kernel
-``_scan``, which splits each mask into a high and a low half.  A vertex's
-degree is the sum of its degrees in the two halves, read from one table
-per half, and the Zagreb index of a block of high halves joined to a
-block of low halves is one int16 matrix product of the halves' tables;
-it is exact, since every partial sum is an integer of at most
-2 * 64 * 64.  A query at one edge count m joins the high halves of
-popcount j only to the low halves of popcount m - j, so it makes only the
-masks with m edges.
+order.  Degrees are popcounts against per-vertex incidence masks.  Each
+shape has one search, ``_bipartite_search`` or ``_general_search``, that
+every query and sweep of the shape calls.  It refuses a space over the cap
+before it builds anything, then runs the one chunked kernel ``_scan``, and
+gives a point query its optimal mask as edges, the cells of its set bits.
+
+The kernel splits each mask into a high and a low half.  A vertex's degree
+is the sum of its degrees in the two halves, read from one table per half,
+and the Zagreb index of a block of high halves joined to a block of low
+halves is one int16 matrix product of the halves' tables; it is exact,
+since every partial sum is an integer of at most 2 * 64 * 64.  A query at
+one edge count m joins the high halves of popcount j only to the low
+halves of popcount m - j, so it makes only the masks with m edges.
 
 Bipartite searches make one mask per row orbit.  Z1 and both bipartite
 witnesses depend only on the multiset of rows: permuting the rows of an
@@ -29,8 +32,8 @@ Bipartite queries in shifted mode instead maximize over Ferrers diagrams
 with an exact dynamic program over column heights, ``_shifted_optimum``,
 which reports the optimum with the lexicographically largest heights.
 
-All maximization happens in the Zagreb convention; cherry counts are
-derived afterwards via z1 = 2*cherries + 2*edges.  Reports carry the exact
+All maximization happens in the Zagreb convention; a report derives its
+cherry counts via z1 = 2*cherries + 2*edges.  Reports carry the exact
 optimum, the number of optimal graphs, the optimal graph with the smallest
 bitmask (a partition-independent tie-break, so results do not depend on
 chunking or worker count), and the construction the relevant bound
@@ -44,9 +47,9 @@ no witness: theorem 1.6 is the (0, 0) rows of theorem 1.7's sweep.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial, reduce
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 from math import comb
 
 import numpy as np
@@ -333,8 +336,8 @@ def _best_per_edge_count(edges, z1, levels, pairs, bits, width):
     return np.array([tops[floor][:, need] for floor, need in pairs])
 
 
-def _scan_chunk(task):
-    joins, lows, low_bits, high_incidence, witness, pairs, m, bits, rows = task
+def _scan_chunk(joins, search):
+    lows, low_bits, high_incidence, witness, pairs, m, bits, rows = search
     # one table for all the chunk's high halves, sliced per join
     highs = _Half.of(np.concatenate([block for block, _ in joins]), high_incidence, True)
     ends = np.cumsum([block.size for block, _ in joins]).tolist()
@@ -351,6 +354,18 @@ def _scan_chunk(task):
     return _best_per_edge_count(chunk.edges, chunk.z1, levels, pairs, bits, width), None, None
 
 
+_worker_search = None  # a Pool worker's search, set once by its initializer
+
+
+def _start_worker(search):
+    global _worker_search
+    _worker_search = search
+
+
+def _worker_chunk(joins):
+    return _scan_chunk(joins, _worker_search)
+
+
 def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CAP, rows=None):
     """Best Zagreb index over all 2^bits edge masks, for each witness pair.
 
@@ -364,7 +379,8 @@ def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CA
     low halves of popcount m - j, so only masks with m edges are made.
     Chunks are made and merged one at a time, so memory stays flat as bits
     grows; with jobs > 1 they run over min(jobs, chunks) worker processes,
-    and in process when there is one.
+    and in process when there is one.  Each worker gets the search, low
+    half table included, once, and each task only its joins.
 
     Plain masks are split at their low min(bits // 2, _CHUNK_BITS) bits,
     and every mask is made.  With ``rows`` the masks are those of an
@@ -408,19 +424,29 @@ def _scan(bits, incidence, witness, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CA
     order = np.argsort(keys, kind="stable")
     lows = _Half.of(lows[order], [vertex & ((1 << low_bits) - 1) for vertex in incidence], False)
     high_incidence = [vertex >> low_bits for vertex in incidence]
+    search = (lows, low_bits, high_incidence, witness, pairs, m, bits, rows)
     chunks = _chunks(highs, keys[order], span, m)
     head = list(islice(chunks, jobs))
-    tasks = (
-        (joins, lows, low_bits, high_incidence, witness, pairs, m, bits, rows)
-        for joins in chain(head, chunks)
-    )
     if len(head) > 1:
         # imported here, so that a process that never runs jobs > 1 does not load it
         from multiprocessing import Pool
 
-        with Pool(len(head)) as pool:
-            return reduce(_merge, pool.imap_unordered(_scan_chunk, tasks))
-    return reduce(_merge, map(_scan_chunk, tasks))
+        with Pool(len(head), initializer=_start_worker, initargs=(search,)) as pool:
+            return reduce(_merge, pool.imap_unordered(_worker_chunk, chain(head, chunks)))
+    return reduce(_merge, (_scan_chunk(joins, search) for joins in chain(head, chunks)))
+
+
+def _answer(result, m, cells):
+    """A shape search's answer: without m, _scan's table; with m and one
+    pair, the point (best Z1, count, edges), where edges are the cells of the
+    smallest optimal mask's set bits and ``cells`` lists every cell in bit order."""
+    if m is None:
+        return result[0]
+    (best,), (count,), (first,) = result
+    if best < 0:
+        raise ConstructionError("no graph satisfies the constraints")
+    first = int(first)
+    return int(best), int(count), {cell for bit, cell in enumerate(cells) if first >> bit & 1}
 
 
 # ----------------------------------------------------------------------
@@ -455,9 +481,14 @@ def _bipartite_level(r, side, chunk, floor):
     return level
 
 
-def _bipartite_from_mask(r: int, s: int, mask: int) -> BipartiteGraph:
-    edges = {(i, j) for i in range(r) for j in range(s) if mask >> (i * s + j) & 1}
-    return BipartiteGraph(r, s, edges)
+def _bipartite_search(r, s, side, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CAP):
+    """The search over r x s bipartite graphs, one mask per row orbit, with
+    the witness on ``side``: refused over the cap before anything is built,
+    it returns _answer's table or point."""
+    _check_bits(r * s, cap)
+    result = _scan(r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
+                   pairs, m=m, jobs=jobs, cap=cap, rows=r)
+    return _answer(result, m, product(range(r), range(s)))
 
 
 def _shifted_optimum(r: int, s: int, ell: int, k: int, m: int, cap: int):
@@ -523,20 +554,27 @@ def _shifted_optimum(r: int, s: int, ell: int, k: int, m: int, cap: int):
 
 @dataclass
 class OracleReport:
-    """Exact search result plus the prediction it is compared against."""
+    """Exact search result plus the prediction it is compared against.  The
+    cherry counts and the match follow from the two Z1s and params["m"]."""
 
     family: str
     params: dict
     mode: str
     optimum_z1: int
-    optimum_cherries: int
+    optimum_cherries: int = field(init=False)
     optimum_count: int
     optimum_graph: dict
     predicted_z1: int | None
-    predicted_cherries: int | None
+    predicted_cherries: int | None = field(init=False)
     predicted_branch: str | None
     prediction_feasible: bool | None
-    match: bool | None
+    match: bool | None = field(init=False)
+
+    def __post_init__(self):
+        m, predicted = self.params["m"], self.predicted_z1
+        self.optimum_cherries = (self.optimum_z1 - 2 * m) // 2
+        self.predicted_cherries = None if predicted is None else (predicted - 2 * m) // 2
+        self.match = None if predicted is None else self.optimum_z1 == predicted
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -591,84 +629,71 @@ def _predictions(r: int, s: int, ell: int, k: int, filling: list):
         yield ("B", *filling[m])
 
 
-def _phi(r, s, ell, k, m, side, mode, jobs, cap) -> OracleReport:
+def _phi(family, r, s, ell, k, m, mode, jobs, cap) -> OracleReport:
     BipartiteFamilyParams(r, s, m, ell, k)
-    family = "bipartite-left" if side == "left" else "bipartite-right"
-    params = {"r": r, "s": s, "ell": ell, "k": k, "m": m}
-
+    side = family.removeprefix("bipartite-")
     if mode == "shifted":
         best, count, heights = _shifted_optimum(r, s, ell, k, m, cap)
-        graph = BipartiteGraph(r, s, {(i, j) for j, h in enumerate(heights) for i in range(h)})
+        edges = {(i, j) for j, h in enumerate(heights) for i in range(h)}
     elif mode == "full":
-        (best,), (count,), (first,) = _scan(
-            r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
-            [_floor_need(side, ell, k)], m=m, jobs=jobs, cap=cap, rows=r,
-        )
-        if best < 0:
-            raise ConstructionError("no graph satisfies the constraints")
-        best, count, graph = int(best), int(count), _bipartite_from_mask(r, s, int(first))
+        pairs = [_floor_need(side, ell, k)]
+        best, count, edges = _bipartite_search(r, s, side, pairs, m=m, jobs=jobs, cap=cap)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     predicted, branch = predicted_bipartite(r, s, ell, k, m)
-    pred_z1 = z1_index(predicted)
     return OracleReport(
         family=family,
-        params=params,
+        params={"r": r, "s": s, "ell": ell, "k": k, "m": m},
         mode=mode,
         optimum_z1=best,
-        optimum_cherries=(best - 2 * m) // 2,
         optimum_count=count,
-        optimum_graph=bipartite_to_json(graph),
-        predicted_z1=pred_z1,
-        predicted_cherries=(pred_z1 - 2 * m) // 2,
+        optimum_graph=bipartite_to_json(BipartiteGraph(r, s, edges)),
+        predicted_z1=z1_index(predicted),
         predicted_branch=branch,
         prediction_feasible=_witness_holds(
             predicted.left_degrees(), predicted.right_degrees(), side, ell, k
         ),
-        match=best == pred_z1,
     )
 
 
 def phi_bipartite(r, s, ell, k, m, *, mode="full", jobs=1, cap=DEFAULT_BIT_CAP) -> OracleReport:
     """Max Zagreb index over r x s bipartite graphs with m edges and at
     least ell rows of degree >= k, compared against the predicted branch."""
-    return _phi(r, s, ell, k, m, "left", mode, jobs, cap)
+    return _phi("bipartite-left", r, s, ell, k, m, mode, jobs, cap)
 
 
 def phi_bipartite_right(r, s, ell, k, m, *, mode="full", jobs=1, cap=DEFAULT_BIT_CAP) -> OracleReport:
     """Mirror of phi_bipartite with the witness on the right part: at
     least k columns of degree >= ell."""
-    return _phi(r, s, ell, k, m, "right", mode, jobs, cap)
+    return _phi("bipartite-right", r, s, ell, k, m, mode, jobs, cap)
 
 
 # ----------------------------------------------------------------------
 # general graphs
 
 
-def _pair_bit(u: int, v: int, n: int) -> int:
-    # lexicographic pair index, u < v
-    return comb(n, 2) - comb(n - u, 2) + (v - u - 1)
+def _pair_bits(n: int) -> dict:
+    """The bit of each vertex pair (u, v), u < v, in lexicographic order."""
+    return {pair: 1 << i for i, pair in enumerate(combinations(range(n), 2))}
 
 
 def _vertex_masks(n: int) -> list[int]:
     vm = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            bit = 1 << _pair_bit(u, v, n)
-            vm[u] |= bit
-            vm[v] |= bit
+    for (u, v), bit in _pair_bits(n).items():
+        vm[u] |= bit
+        vm[v] |= bit
     return vm
 
 
-def _graph_from_mask(n: int, mask: int) -> Graph:
-    edges = {
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if mask >> _pair_bit(u, v, n) & 1
-    }
-    return Graph(n, edges)
+def _general_search(n, pairs, *, m=None, jobs=1, cap=DEFAULT_BIT_CAP):
+    """The search over graphs on n vertices with the independent-set
+    witness: refused over the cap before anything is built, it returns
+    _answer's table or point."""
+    bits = comb(n, 2)
+    _check_bits(bits, cap)
+    result = _scan(bits, _vertex_masks(n), partial(_independent_level, n), pairs, m=m, jobs=jobs, cap=cap)
+    return _answer(result, m, _pair_bits(n))
 
 
 def _general_pair(ell: int, k: int) -> tuple[int, int]:
@@ -681,9 +706,9 @@ def _independent_level(n, chunk, ell):
     """Kernel witness: 1 + the largest minimum degree of an independent
     ell-set, 0 when there is none.  ell = 0 asks for no witness (_general_pair)."""
     level = np.zeros(chunk.size, dtype=np.uint8)
-    masks, deg = chunk.masks, chunk.deg
+    masks, deg, bit = chunk.masks, chunk.deg, _pair_bits(n)
     for sub in combinations(range(n), ell):
-        inside = sum(1 << _pair_bit(u, v, n) for u, v in combinations(sub, 2))
+        inside = sum(bit[pair] for pair in combinations(sub, 2))
         independent = (masks & np.uint64(inside)) == 0
         np.maximum(level, np.where(independent, deg[list(sub)].min(axis=0) + 1, 0), out=level)
     return level
@@ -719,37 +744,26 @@ def max_cherries_general(n, m, ell, k, *, jobs=1, cap=DEFAULT_BIT_CAP) -> Oracle
         raise ConstructionError(f"m={m} out of range for n={n}")
     if ell > n or (ell > 0 and k > n - ell):
         raise ConstructionError("witness cannot fit")
-    (best,), (count,), (first,) = _scan(
-        comb(n, 2), _vertex_masks(n), partial(_independent_level, n),
-        [_general_pair(ell, k)], m=m, jobs=jobs, cap=cap,
-    )
-    if best < 0:
-        raise ConstructionError("no graph satisfies the constraints")
-    best = int(best)
+    best, count, edges = _general_search(n, [_general_pair(ell, k)], m=m, jobs=jobs, cap=cap)
     pred_z1, branch = predicted_general(n, m, ell, k)
     return OracleReport(
         family="general",
         params={"n": n, "m": m, "ell": ell, "k": k},
         mode="full",
         optimum_z1=best,
-        optimum_cherries=(best - 2 * m) // 2,
-        optimum_count=int(count),
-        optimum_graph=graph_to_json(_graph_from_mask(n, int(first))),
+        optimum_count=count,
+        optimum_graph=graph_to_json(Graph(n, edges)),
         predicted_z1=pred_z1,
-        predicted_cherries=None if pred_z1 is None else (pred_z1 - 2 * m) // 2,
         predicted_branch=branch,
         prediction_feasible=None if pred_z1 is None else True,
-        match=None if pred_z1 is None else best == pred_z1,
     )
 
 
 def general_max_table(n: int, *, cap: int = DEFAULT_BIT_CAP) -> np.ndarray:
     """table[ell, k, m] = max Zagreb index over the constrained family,
     -1 where the family is empty.  Indexed ell in 0..n, k in 0..n-1."""
-    bits = comb(n, 2)
     pairs = [_general_pair(ell, k) for ell in range(n + 1) for k in range(n)]
-    table, _, _ = _scan(bits, _vertex_masks(n), partial(_independent_level, n), pairs, cap=cap)
-    return table.astype(np.int64).reshape(n + 1, n, bits + 1)
+    return _general_search(n, pairs, cap=cap).astype(np.int64).reshape(n + 1, n, -1)
 
 
 # ----------------------------------------------------------------------
@@ -761,23 +775,15 @@ def verify_theorem_11(n_values=(4, 5, 6, 7), *, cap: int = DEFAULT_BIT_CAP) -> l
     the better of quasi-star and quasi-clique, scored from their layouts."""
     rows = []
     for n in n_values:
-        witness = partial(_independent_level, n)
-        (best,), _, _ = _scan(comb(n, 2), _vertex_masks(n), witness, [(0, 0)], cap=cap)
+        (best,) = _general_search(n, [(0, 0)], cap=cap)
         for m, oracle_z1 in enumerate(best.tolist()):
             star = _layout_z1(n, _quasi_star_layout(n, m))
             clique = _layout_z1(n, _quasi_clique_layout(n, m))
             predicted = max(star, clique)
-            rows.append(
-                {
-                    "n": n,
-                    "m": m,
-                    "oracle_z1": oracle_z1,
-                    "quasi_star_z1": star,
-                    "quasi_clique_z1": clique,
-                    "predicted_z1": predicted,
-                    "match": oracle_z1 == predicted,
-                }
-            )
+            rows.append({
+                "n": n, "m": m, "oracle_z1": oracle_z1, "quasi_star_z1": star,
+                "quasi_clique_z1": clique, "predicted_z1": predicted, "match": oracle_z1 == predicted,
+            })
     return rows
 
 
@@ -801,30 +807,17 @@ def _verify_constrained(max_cells: int, side: str, cap: int, cases=None) -> list
     rows = []
     for r, s in _wide_pairs(max_cells):
         run = cases or [(ell, k) for k in range(s + 1) for ell in range(k, r + 1)]
-        table, _, _ = _scan(
-            r * s, _bipartite_incidence(r, s), partial(_bipartite_level, r, side),
-            [_floor_need(side, ell, k) for ell, k in run], cap=cap, rows=r,
-        )
+        table = _bipartite_search(r, s, side, [_floor_need(side, ell, k) for ell, k in run], cap=cap)
         filling = _column_filling(r, s)
         for (ell, k), best in zip(run, table.tolist()):
             predictions = _predictions(r, s, ell, k, filling)
             for m, (branch, row_degrees, col_degrees, pz1) in enumerate(predictions, k * ell):
-                rows.append(
-                    {
-                        "r": r,
-                        "s": s,
-                        "ell": ell,
-                        "k": k,
-                        "m": m,
-                        "branch": branch,
-                        "oracle_z1": best[m],
-                        "predicted_z1": pz1,
-                        "prediction_feasible": _witness_holds(
-                            row_degrees, col_degrees, side, ell, k
-                        ),
-                        "match": best[m] == pz1,
-                    }
-                )
+                rows.append({
+                    "r": r, "s": s, "ell": ell, "k": k, "m": m, "branch": branch,
+                    "oracle_z1": best[m], "predicted_z1": pz1,
+                    "prediction_feasible": _witness_holds(row_degrees, col_degrees, side, ell, k),
+                    "match": best[m] == pz1,
+                })
     return rows
 
 

@@ -279,6 +279,26 @@ def test_maximize_refuses_search_over_cap(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag", ["--input", "-o", "--config"])
+def test_directory_path_exits_two(tmp_path, capsys, monkeypatch, flag):
+    """A directory given where a file is read or written is a usage error,
+    exit 2, not a traceback with the mismatch code 1."""
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    paths = {"--input": write_graph(tmp_path, "k3.json", {"n": 3, "edges": [[0, 1]]})}
+    paths[flag] = str(tmp_path)
+    code, out, err = run_cli(capsys, "count", *[arg for pair in paths.items() for arg in pair])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_verify_theorem_11_refuses_n8_at_any_max_size(capsys):
+    """The sizes are a range, so --max-size costs no memory before the cap
+    refuses the 2^28 masks of n = 8."""
+    code, out, err = run_cli(capsys, "verify-theorem", "--theorem", "1.1", "--max-size", "1000000000000")
+    assert (code, out) == (2, "")
+    assert err == "error: search space of 2^28 masks exceeds the cap of 2^24\n"
+
+
 def test_verify_theorem_csv(capsys):
     code, out, _ = run_cli(capsys, "verify-theorem", "--theorem", "1.1", "--max-size", "4")
     assert code == 0

@@ -1,6 +1,10 @@
 """The deterministic oracle and density --converge gates, run in process,
 print the bytes whose sha256 the gate benchmark recorded in
-benchmarks/reference.json.  The reference file is only read here."""
+benchmarks/reference.json.  The reference file is only read here.
+
+The maximize gates run at --jobs 1 and at --jobs 2, and each --jobs 2 run
+must print its --jobs 1 bytes.  Of those, the general n = 7 query has two
+chunks and so starts a Pool of 2 workers; the others fit in one chunk."""
 
 import importlib.util
 import sys
@@ -17,15 +21,10 @@ _spec.loader.exec_module(gates)
 
 
 def _guarded(gate):
-    """The sweeps, maximize at --jobs 1 (the shifted query takes the
-    default, 1) and density --converge: the --jobs 2 queries start worker
-    processes, and the scan and appendix gates take seconds."""
+    """The sweeps, every maximize and density --converge: the shift gates
+    are seeded, and the scan and appendix gates take seconds."""
     argv = " ".join(gate.argv)
-    return (
-        gate.kind == "sweep"
-        or (argv.startswith("maximize") and "--jobs 2" not in argv)
-        or argv.startswith("density --converge")
-    )
+    return gate.kind == "sweep" or argv.startswith(("maximize", "density --converge"))
 
 
 GUARDED = [
@@ -34,8 +33,8 @@ GUARDED = [
 ]
 
 
-def test_guard_covers_the_twelve_gates():
-    assert len(GUARDED) == 12
+def test_guard_covers_the_sixteen_gates():
+    assert len(GUARDED) == 16
     assert {gate.metric for gate in GUARDED} == {
         *gates.GATE_METRICS["sweep"], "maximize_s", "maximize_shifted_s", "density_s",
     }

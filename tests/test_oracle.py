@@ -196,10 +196,12 @@ def test_jobs_start_no_more_workers_than_chunks(monkeypatch):
     sizes = []
 
     class InlinePool:
-        """Stands in for multiprocessing.Pool: records its size, maps in process."""
+        """Stands in for multiprocessing.Pool: records its size, runs the
+        initializer and maps in process."""
 
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -211,6 +213,8 @@ def test_jobs_start_no_more_workers_than_chunks(monkeypatch):
             return map(fn, iterable)
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    # the initializer sets the worker's search in this process; undo it afterwards
+    monkeypatch.setattr(oracle, "_worker_search", None)
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 6)
     want = phi_bipartite(4, 4, 2, 2, 5).to_json()
     # the 272 row-sorted 4 x 4 masks with 5 edges fill 5 chunks of at most 2^6
@@ -411,11 +415,34 @@ def test_cap_guard():
         phi_bipartite(13, 5, 1, 1, 3, cap=65)
 
 
+def test_searches_refuse_before_building_masks(monkeypatch):
+    """A search over the cap is refused before its incidence masks are
+    built: r + s masks of r*s bits, or n masks of C(n, 2) bits."""
+
+    def build(*args):
+        raise AssertionError(f"incidence masks built for {args}")
+
+    monkeypatch.setattr(oracle, "_bipartite_incidence", build)
+    monkeypatch.setattr(oracle, "_vertex_masks", build)
+    with pytest.raises(SearchCapExceededError):
+        phi_bipartite(70, 1, 0, 0, 5)
+    with pytest.raises(SearchCapExceededError):
+        max_cherries_general(13, 5, 0, 0)
+
+
 def test_report_json_key_order():
     report = phi_bipartite(2, 2, 1, 1, 2)
     obj = report.to_json()
     assert list(obj)[:4] == ["family", "params", "mode", "optimum_z1"]
     json.dumps(obj)  # serializable end to end
+    # the derived fields keep their places, in every family and mode
+    keys = ["family", "params", "mode", "optimum_z1", "optimum_cherries", "optimum_count",
+            "optimum_graph", "predicted_z1", "predicted_cherries", "predicted_branch",
+            "prediction_feasible", "match"]
+    reports = (phi_bipartite(3, 3, 2, 2, 6), phi_bipartite_right(3, 3, 2, 2, 6),
+               phi_bipartite(3, 3, 2, 2, 6, mode="shifted"), max_cherries_general(5, 4, 2, 1))
+    for report in reports:
+        assert list(report.to_json()) == keys, report.family
 
 
 def test_general_small_cases():
